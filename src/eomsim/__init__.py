@@ -17,7 +17,6 @@ from .engine import (
     composition_oracle,
     dsb_settings,
     mean_field,
-    multitone_coherent_output,
     port_entanglement,
     preset,
     single_drive_output,
@@ -37,14 +36,12 @@ from .phase_mod import (
     PMConfig,
     ToneDrive,
     Truncation,
-    pm_coeff_exact,
-    pm_coeff_optical,
     pm_generator_oracle,
     pm_multitone_row,
     pm_scatter_row,
     retained_halfwidth,
 )
-from .special import bessel_j, bessel_j_array, unitary_exp
+from .special import bessel_j_array, unitary_exp
 from .splitters import (
     SplitterCoeffs,
     SplitterSpec,
@@ -69,7 +66,6 @@ __all__ = [
     "Truncation",
     "TwoPhotonState",
     "TwoPortSpectrum",
-    "bessel_j",
     "bessel_j_array",
     "coherent_output",
     "coherent_through_splitter",
@@ -78,9 +74,6 @@ __all__ = [
     "dsb_settings",
     "mean_field",
     "mode_omega",
-    "multitone_coherent_output",
-    "pm_coeff_exact",
-    "pm_coeff_optical",
     "pm_generator_oracle",
     "pm_multitone_row",
     "pm_scatter_row",

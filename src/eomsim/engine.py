@@ -240,24 +240,6 @@ def coherent_output(
     return single_photon_output(cfg, input_port, n0, truncation, model).scaled(alpha)
 
 
-def multitone_coherent_output(
-    cfg: EOMConfig, input_port: int, n0: int, alpha: complex
-) -> TwoPortSpectrum:
-    """Coherent output with first-order multitone arms.
-
-    With no tones configured the output reduces to the carrier split across
-    the ports with the arm bias phases.
-    """
-    for name in ("pm1", "pm2"):
-        arm = getattr(cfg, name)
-        if isinstance(arm, PMConfig):
-            raise ValueError(
-                f"{name} is an exact single-tone arm; multitone output expects "
-                "MultitonePMConfig or None arms"
-            )
-    return single_photon_output(cfg, input_port, n0).scaled(alpha)
-
-
 def single_drive_output(
     cfg: EOMConfig,
     n0: int,

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import decompose_mode, SidebandDecomposition
-from .special import bessel_j, bessel_j_array, unitary_exp
+from .lattice import decompose_mode
+from .special import bessel_j_array, unitary_exp
 
 # j^s for s mod 4 = 0, 1, 2, 3; kept exact instead of going through exp()
 _QUARTER_TURNS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
@@ -34,6 +34,8 @@ _QUARTER_TURNS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 _HALF_PI = 0.5 * math.pi
 
 _MAX_INDEX = 50.0
+
+_MAX_MARGIN = 400
 
 
 def phase_factor(angle: float) -> complex:
@@ -124,7 +126,10 @@ class Truncation:
 
     Orders are kept while |J_{q-q0}(m)| >= eps, then `margin` further orders
     on each side are retained on purpose (they matter for unitarity audits),
-    so entries below eps do appear in rows.
+    so entries below eps do appear in rows.  The scan starts past order m
+    and every J_s(m) with s > m + 361 is exactly 0.0 for m <= 50, so a
+    margin of 400 already reaches every nonzero amplitude; larger margins
+    are rejected rather than looped over.
     """
 
     eps: float = 1e-12
@@ -133,8 +138,8 @@ class Truncation:
     def __post_init__(self) -> None:
         if not 0.0 < self.eps < 1.0:
             raise ValueError(f"eps must lie in (0, 1), got {self.eps!r}")
-        if not isinstance(self.margin, int) or self.margin < 0:
-            raise ValueError(f"margin must be a nonnegative integer, got {self.margin!r}")
+        if not isinstance(self.margin, int) or not 0 <= self.margin <= _MAX_MARGIN:
+            raise ValueError(f"margin must be an integer in [0, {_MAX_MARGIN}], got {self.margin!r}")
 
 
 def ladder_phase(s: int, theta_rf: float) -> complex:
@@ -147,34 +152,18 @@ def ladder_phase(s: int, theta_rf: float) -> complex:
     return _QUARTER_TURNS[s % 4] * cmath.exp(1j * (s * theta_rf))
 
 
-def pm_coeff_exact(q: int, dec: SidebandDecomposition, cfg: PMConfig) -> complex:
-    """Scattering amplitude from rung q0 to rung q on the semi-infinite ladder."""
-    if q < 1:
-        raise ValueError(f"sideband rung must be >= 1, got {q!r}")
-    s = q - dec.q0
-    sign = -1.0 if dec.q0 % 2 else 1.0
-    bracket = bessel_j(s, cfg.m) - sign * bessel_j(q + dec.q0, cfg.m)
-    return phase_factor(cfg.phi_b) * ladder_phase(s, cfg.theta_rf) * bracket
-
-
-def pm_coeff_optical(q: int, dec: SidebandDecomposition, cfg: PMConfig) -> complex:
-    """Optical-limit amplitude: the lattice-bottom reflection term dropped."""
-    if q < 1:
-        raise ValueError(f"sideband rung must be >= 1, got {q!r}")
-    s = q - dec.q0
-    return phase_factor(cfg.phi_b) * ladder_phase(s, cfg.theta_rf) * bessel_j(s, cfg.m)
-
-
 def retained_halfwidth(m: float, truncation: Truncation) -> int:
     """Half-width of the retained sideband window for modulation index m."""
     if m == 0.0:
         return truncation.margin
-    # scan past the turning point, where J_s(m) decays monotonically in s
+    # scan past the turning point, where J_s(m) decays monotonically in s;
+    # for m <= 50 it underflows to 0.0 before order int(m) + 362, so the scan
+    # stops inside the array for every eps > 0
+    top = int(m) + 401
+    jarr = bessel_j_array(top, m)
     s = int(m) + 1
-    while abs(bessel_j(s, m)) >= truncation.eps:
+    while s < top and abs(jarr[s]) >= truncation.eps:
         s += 1
-        if s > int(m) + 400:  # unreachable for eps > 1e-300, guards bad input
-            break
     return s + truncation.margin
 
 
@@ -199,13 +188,17 @@ def pm_scatter_row(
     hw = retained_halfwidth(cfg.m, tr)
     q_lo = max(1, dec.q0 - hw)
     q_hi = dec.q0 + hw
-    jarr = bessel_j_array(q_hi + dec.q0, cfg.m)
+    # image orders q + q0 past hw + m + 80 lie below double precision, so
+    # the array length, and the cost, does not grow with the carrier
+    top = min(q_hi + dec.q0, hw + int(cfg.m) + 80)
+    jarr = bessel_j_array(top, cfg.m)
     sign = -1.0 if dec.q0 % 2 else 1.0
     row: dict[int, complex] = {}
     for q in range(q_lo, q_hi + 1):
         s = q - dec.q0
         js = jarr[s] if s >= 0 else (jarr[-s] if s % 2 == 0 else -jarr[-s])
-        bracket = js if model == "optical" else js - sign * jarr[q + dec.q0]
+        image = jarr[q + dec.q0] if q + dec.q0 <= top else 0.0
+        bracket = js if model == "optical" else js - sign * image
         amp = bias * ladder_phase(s, cfg.theta_rf) * bracket
         if amp != 0.0:
             row[q * dec.tone - dec.r0] = amp

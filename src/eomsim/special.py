@@ -14,38 +14,15 @@ _MAX_ARG = 50.0
 _RESCALE = 1e250
 
 
-def bessel_j(s: int, m: float) -> float:
-    """Bessel function of the first kind J_s(m) for integer order s.
-
-    Implementation notes
-    --------------------
-    Backward (Miller) recurrence J_{k-1} = (2k/m) J_k - J_{k+1}, started well
-    inside the super-exponential decay zone and normalized with the identity
-    J_0 + 2*sum_k J_{2k} = 1.  This is stable for all orders at once, unlike
-    the forward recurrence.  Negative order and negative argument reduce via
-    J_{-s}(m) = (-1)^s J_s(m) and J_s(-m) = (-1)^s J_s(m).  Supported range
-    |m| <= 50, absolute error below 1e-12.
-    """
-    if not isinstance(s, int) or isinstance(s, bool):
-        raise ValueError(f"order must be an integer, got {s!r}")
-    sign = 1.0
-    if s < 0:
-        s = -s
-        if s % 2:
-            sign = -sign
-    if m < 0.0:
-        m = -m
-        if s % 2:
-            sign = -sign
-    if m > _MAX_ARG:
-        raise ValueError(f"argument out of supported range |m| <= {_MAX_ARG}, got {m!r}")
-    if m == 0.0:
-        return sign * (1.0 if s == 0 else 0.0)
-    return sign * bessel_j_array(s, m)[s]
-
-
 def bessel_j_array(s_max: int, m: float) -> np.ndarray:
-    """J_0(m) .. J_{s_max}(m) in one backward-recurrence pass, m > 0."""
+    """J_0(m) .. J_{s_max}(m) in one backward-recurrence pass, 0 < m <= 50.
+
+    Miller recurrence J_{k-1} = (2k/m) J_k - J_{k+1}, started well inside
+    the super-exponential decay zone and normalized with the identity
+    J_0 + 2*sum_k J_{2k} = 1; stable for all orders at once, unlike the
+    forward recurrence.  Absolute error below 1e-12.  Callers reflect
+    negative orders with J_{-s}(m) = (-1)^s J_s(m).
+    """
     if s_max < 0:
         raise ValueError("s_max must be nonnegative")
     if not 0.0 < m <= _MAX_ARG:
@@ -82,30 +59,6 @@ def bessel_j_array(s_max: int, m: float) -> np.ndarray:
             norm /= _RESCALE
             out /= _RESCALE
     return out / norm
-
-
-def bessel_j_series_oracle(s: int, m: float, terms: int = 40) -> float:
-    """Ascending power series for J_s(m); the independent test-side reference.
-
-    sum_k (-1)^k (m/2)^(s+2k) / (k! (s+k)!), summed term-recursively.  Only
-    trustworthy for moderate arguments (|m| up to ~10; severe cancellation
-    beyond that), which is why it lives next to an implementation that does
-    not share a single line with it.
-    """
-    if not isinstance(s, int) or isinstance(s, bool) or s < 0:
-        raise ValueError(f"series order must be a nonnegative integer, got {s!r}")
-    if terms < 20:
-        raise ValueError(f"need at least 20 terms, got {terms!r}")
-    if m == 0.0:
-        return 1.0 if s == 0 else 0.0
-    sign = (-1.0) ** s if m < 0.0 else 1.0
-    x = abs(m)
-    term = sign * math.exp(s * math.log(0.5 * x) - math.lgamma(s + 1))
-    total = term
-    for k in range(terms - 1):
-        term *= -(0.5 * x) ** 2 / ((k + 1) * (s + k + 1))
-        total += term
-    return total
 
 
 def unitary_exp(gen: np.ndarray) -> np.ndarray:

@@ -78,7 +78,7 @@ def test_criterion_10_small_signal_and_mean_field(battery):
     _report(battery[10])
 
 
-def test_criterion_11_cli_contract(tmp_path):
+def test_criterion_11_cli_contract(tmp_path, child_env):
     runs = [
         ("spectrum", "yb_dual_dsb.json", "yb_dual_dsb.csv"),
         ("spectrum", "yb_dual_ssb.json", "yb_dual_ssb.json"),
@@ -106,7 +106,7 @@ def test_criterion_11_cli_contract(tmp_path):
 
     proc = subprocess.run(
         [sys.executable, "-m", "eomsim", "verify", "--tolerance-scale", "1.0"],
-        capture_output=True, text=True, timeout=300,
+        capture_output=True, env=child_env, text=True, timeout=300,
     )
     if proc.returncode != 0:
         failures.append(f"module invocation: exit {proc.returncode}")

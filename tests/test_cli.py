@@ -124,11 +124,11 @@ def test_verify_config_document(capsys):
     assert doc["tolerance_scale"] == 10.0
 
 
-def test_console_entry_point_runs():
+def test_console_entry_point_runs(child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "eomsim", "spectrum",
          "--config", str(CONFIGS / "yb_dual_dsb.json")],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, env=child_env, text=True, timeout=120,
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("point,port,mode,order")

@@ -146,6 +146,7 @@ def test_descriptions_are_ignored_everywhere():
         (lambda d: d.update(model="heisenberg"), "model"),
         (lambda d: d.update(truncation={"eps": 2.0}), "truncation"),
         (lambda d: d.update(truncation={"eps": 1e-9, "margin": -1}), "truncation"),
+        (lambda d: d.update(truncation={"margin": 401}), "truncation: margin"),
         (lambda d: d.update(mean_field={"port": 1, "t_stop": 1.0, "samples": 4}), "mean_field"),
         (lambda d: d.update(output={"format": "yaml"}), "output.format"),
         (lambda d: d.update(sweep=[]), "sweep"),
@@ -157,6 +158,13 @@ def test_validation_errors_name_the_field(mutate, fragment):
     mutate(doc)
     with pytest.raises(ConfigError, match=fragment):
         _parse(doc)
+
+
+def test_truncation_margin_bound_is_inclusive():
+    # J_s(m) is exactly 0.0 past order m + 361 for m <= 50, so margin 400
+    # reaches every nonzero amplitude and larger margins only cost time
+    pt = _parse(_doc(truncation={"margin": 400})).points[0]
+    assert pt.truncation.margin == 400
 
 
 def test_error_paths_in_nested_arms():

@@ -6,7 +6,6 @@ import pytest
 from eomsim.engine import (
     coherent_output,
     mean_field,
-    multitone_coherent_output,
     preset,
 )
 from eomsim.lattice import mode_omega
@@ -62,30 +61,30 @@ def test_multitone_device_output_carries_every_tone():
         tones=(ToneDrive(m=0.05, theta_rf=math.pi, tone=1), ToneDrive(m=0.03, theta_rf=0.2 + math.pi, tone=4)),
     )
     cfg = preset("yb_dual", pm1=arm, pm2=arm2)
-    out = multitone_coherent_output(cfg, 1, 200, alpha=2.0 + 0.0j)
+    out = coherent_output(cfg, 1, 200, alpha=2.0 + 0.0j)
     assert {196, 199, 201, 204} <= set(out.port1)
     # antiphase drives put all sideband power on port 1 and none on port 2
     assert all(abs(a) < 1e-15 for mode, a in out.port2.items() if mode != 200)
 
 
-def test_multitone_coherent_rejects_exact_arms():
-    cfg = preset("yb_dual", pm1=PMConfig(phi_b=0.0, m=0.5, theta_rf=0.0, tone=1))
-    with pytest.raises(ValueError):
-        multitone_coherent_output(cfg, 1, 100, alpha=1.0 + 0.0j)
-
-
 def test_multitone_spectrum_equals_general_coherent_path():
+    # balanced Y-branches with arm 2 undriven: port 1 carries
+    # alpha (C + delta) / 2 and port 2 alpha (delta - C) / 2, C the multitone row
     arm = _one_tone(0.02)
-    cfg = preset("yb_single", pm1=arm)
-    a = multitone_coherent_output(cfg, 1, 120, alpha=0.5 - 0.25j)
-    b = coherent_output(cfg, 1, 120, alpha=0.5 - 0.25j)
-    assert a == b
+    alpha = 0.5 - 0.25j
+    out = coherent_output(preset("yb_single", pm1=arm), 1, 120, alpha=alpha)
+    row = pm_multitone_row(120, arm)
+    assert set(out.port1) == set(out.port2) == set(row)
+    for mode, amp in row.items():
+        carrier = 1.0 if mode == 120 else 0.0
+        assert out.port1[mode] == pytest.approx(alpha * 0.5 * (amp + carrier), abs=1e-15)
+        assert out.port2[mode] == pytest.approx(alpha * 0.5 * (carrier - amp), abs=1e-15)
 
 
 def test_mean_field_phasor_identity_and_reconstruction():
     arm = _one_tone(0.05, theta=0.0, tone=2, phi_b=math.pi / 2)
     cfg = preset("yb_single", pm1=arm)
-    out = multitone_coherent_output(cfg, 1, 50, alpha=1.0 + 0.0j)
+    out = coherent_output(cfg, 1, 50, alpha=1.0 + 0.0j)
     times = tuple(0.05 * k for k in range(64))
     series = mean_field(out, 1, times, field_scale=0.3)
     for mode, omega, phasor in series.terms:
@@ -98,7 +97,7 @@ def test_mean_field_phasor_identity_and_reconstruction():
 
 def test_mean_field_scales_with_lattice_geometry():
     cfg = preset("yb_single", pm1=_one_tone(0.0))
-    out = multitone_coherent_output(cfg, 1, 36, alpha=1.0 + 0.0j)
+    out = coherent_output(cfg, 1, 36, alpha=1.0 + 0.0j)
     series = mean_field(out, 1, (0.0,), nu=2.0, length=math.pi)
     (term,) = series.terms
     assert term[1] == pytest.approx(mode_omega(36, nu=2.0, length=math.pi))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eomsim import phase_mod
 from eomsim.lattice import decompose_mode
 from eomsim.phase_mod import (
     MultitonePMConfig,
@@ -13,13 +14,12 @@ from eomsim.phase_mod import (
     Truncation,
     ladder_phase,
     phase_factor,
-    pm_coeff_exact,
-    pm_coeff_optical,
     pm_generator_oracle,
     pm_multitone_row,
     pm_scatter_row,
     retained_halfwidth,
 )
+from eomsim.special import bessel_j_array
 
 from oracles import bessel_reference
 
@@ -39,9 +39,9 @@ FROZEN_COEFFS = [
 @pytest.mark.parametrize("q, q0, m, phi_b, theta, want", FROZEN_COEFFS)
 def test_frozen_scattering_amplitudes(q, q0, m, phi_b, theta, want):
     tone = 3
-    dec = decompose_mode(q0 * tone, tone)
     cfg = PMConfig(phi_b=phi_b, m=m, theta_rf=theta, tone=tone)
-    assert pm_coeff_exact(q, dec, cfg) == pytest.approx(want, abs=5e-15)
+    row = pm_scatter_row(q0 * tone, cfg)
+    assert row[q * tone] == pytest.approx(want, abs=5e-15)
 
 
 @pytest.mark.parametrize("q, q0, m, phi_b, theta, want", FROZEN_COEFFS)
@@ -85,15 +85,17 @@ def test_phase_factor_exact_values():
 
 def test_wall_term_matters_at_low_rungs():
     cfg = PMConfig(phi_b=0.0, m=1.5, theta_rf=0.0, tone=1)
-    dec = decompose_mode(2, 1)
-    assert abs(pm_coeff_exact(2, dec, cfg) - pm_coeff_optical(2, dec, cfg)) > 1e-3
+    exact = pm_scatter_row(2, cfg, model="exact")
+    optical = pm_scatter_row(2, cfg, model="optical")
+    assert abs(exact[2] - optical[2]) > 1e-3
 
 
 def test_wall_term_negligible_at_high_rungs():
     cfg = PMConfig(phi_b=0.0, m=2.0, theta_rf=0.0, tone=1)
-    dec = decompose_mode(30, 1)
+    exact = pm_scatter_row(30, cfg, model="exact")
+    optical = pm_scatter_row(30, cfg, model="optical")
     for q in range(20, 41):
-        assert abs(pm_coeff_exact(q, dec, cfg) - pm_coeff_optical(q, dec, cfg)) < 1e-15
+        assert abs(exact[q] - optical[q]) < 1e-15
 
 
 @settings(deadline=None)
@@ -136,6 +138,63 @@ def test_scatter_row_matches_generator_route(m, tone, n0):
     for mode in range(1, n_max + 1):
         if mode not in kept and (mode - n0) % tone == 0:
             assert abs(mat[n0 - 1, mode - 1]) < 1e-11
+
+
+def _full_array_row(n0, cfg, tr, model):
+    # the row with every image term J_{q+q0}(m) read from one array that
+    # reaches the top image order, however far up the carrier sits
+    dec = decompose_mode(n0, cfg.tone)
+    hw = retained_halfwidth(cfg.m, tr)
+    jarr = bessel_j_array(2 * dec.q0 + hw, cfg.m)
+    sign = -1.0 if dec.q0 % 2 else 1.0
+    row = {}
+    for q in range(max(1, dec.q0 - hw), dec.q0 + hw + 1):
+        s = q - dec.q0
+        js = jarr[abs(s)] if s >= 0 or s % 2 == 0 else -jarr[abs(s)]
+        bracket = js if model == "optical" else js - sign * jarr[q + dec.q0]
+        amp = phase_factor(cfg.phi_b) * ladder_phase(s, cfg.theta_rf) * bracket
+        if amp != 0.0:
+            row[q * dec.tone - dec.r0] = amp
+    return row
+
+
+@pytest.mark.parametrize("model", ["exact", "optical"])
+@pytest.mark.parametrize(
+    "tr", [Truncation(), Truncation(1e-300, 0), Truncation(1e-5, 1), Truncation(1e-12, 40)]
+)
+@pytest.mark.parametrize("m", [1e-9, 0.15, 1.0, 5.0, 20.0, 50.0])
+def test_scatter_row_matches_full_array_row(m, tr, model):
+    hw = retained_halfwidth(m, tr)
+    for tone in (1, 3):
+        for q0 in (1, 2, 3, int(m) + 2, hw, int(m) + hw, 1000):
+            cfg = PMConfig(phi_b=0.3, m=m, theta_rf=0.7, tone=tone)
+            row = pm_scatter_row(q0 * tone, cfg, tr, model)
+            want = _full_array_row(q0 * tone, cfg, tr, model)
+            if 2 * q0 <= int(m) + 80:
+                # the image array is not cut, so the row is the same numbers
+                assert row == want
+            else:
+                assert set(row) == set(want)
+                assert max(abs(row[k] - want[k]) for k in row) <= 4e-16
+
+
+def test_scatter_cost_does_not_grow_with_carrier(monkeypatch):
+    m = 50.0
+    hw = retained_halfwidth(m, Truncation())
+    real = phase_mod.bessel_j_array
+    requests = []
+
+    def recorder(s_max, x):
+        requests.append(s_max)
+        if s_max > max(int(m) + 401, hw + int(m) + 80):
+            raise AssertionError(f"asked for {s_max} Bessel orders")
+        return real(s_max, x)
+
+    monkeypatch.setattr(phase_mod, "bessel_j_array", recorder)
+    row = pm_scatter_row(10**9, PMConfig(0.1, m, 0.2, 1))
+    assert requests == [int(m) + 401, hw + int(m) + 80]
+    assert len(row) <= 2 * hw + 1
+    assert sum(abs(v) ** 2 for v in row.values()) == pytest.approx(1.0, abs=1e-11)
 
 
 def test_zero_depth_row_is_pure_bias():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eomsim.special import bessel_j, bessel_j_array, bessel_j_series_oracle, unitary_exp
+from eomsim.special import bessel_j_array, unitary_exp
 
 from oracles import bessel_integral, bessel_reference, bessel_series
 
@@ -28,7 +28,7 @@ FROZEN = [
 
 @pytest.mark.parametrize("s, m, want", FROZEN)
 def test_bessel_frozen_values(s, m, want):
-    assert bessel_j(s, m) == pytest.approx(want, abs=2e-15)
+    assert bessel_j_array(s, m)[s] == pytest.approx(want, abs=2e-15)
 
 
 @pytest.mark.parametrize("s, m, want", FROZEN)
@@ -40,19 +40,19 @@ def test_oracles_agree_with_frozen_values(s, m, want):
 @pytest.mark.parametrize("m", [0.05, 0.5, 2.0, 5.0, 8.0])
 def test_bessel_matches_series_small_arguments(m):
     for s in range(13):
-        assert bessel_j(s, m) == pytest.approx(bessel_series(s, m), abs=1e-13)
+        assert bessel_j_array(s, m)[s] == pytest.approx(bessel_series(s, m), abs=1e-13)
 
 
 @pytest.mark.parametrize("m", [10.0, 25.0, 50.0])
 @pytest.mark.parametrize("s", [0, 1, 5, 17, 40])
 def test_bessel_matches_integral_large_arguments(s, m):
-    assert bessel_j(s, m) == pytest.approx(bessel_integral(s, m), abs=1e-12)
+    assert bessel_j_array(s, m)[s] == pytest.approx(bessel_integral(s, m), abs=1e-12)
 
 
 def test_series_oracle_is_wrong_at_large_argument():
     # documents why the integral form exists: at m = 50 the ascending series
     # loses everything to cancellation
-    assert abs(bessel_j_series_oracle(4, 50.0) - 0.07084097728165495) > 1.0
+    assert abs(bessel_series(4, 50.0) - 0.07084097728165495) > 1.0
 
 
 @given(
@@ -60,9 +60,9 @@ def test_series_oracle_is_wrong_at_large_argument():
     m=st.floats(0.1, 30.0, allow_nan=False, allow_infinity=False),
 )
 def test_three_term_recurrence(s, m):
-    lo = bessel_j(s - 1, m)
-    mid = bessel_j(s, m)
-    hi = bessel_j(s + 1, m)
+    lo = bessel_j_array(s - 1, m)[s - 1]
+    mid = bessel_j_array(s, m)[s]
+    hi = bessel_j_array(s + 1, m)[s + 1]
     lhs = lo + hi
     rhs = (2.0 * s / m) * mid
     scale = max(abs(lo), abs(hi), abs(rhs))
@@ -78,17 +78,6 @@ def test_squared_sum_rule(m):
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
-@given(s=st.integers(-25, 25), m=st.floats(-20.0, 20.0, allow_nan=False))
-def test_parity_reductions(s, m):
-    base = bessel_j(abs(s), abs(m))
-    want = base
-    if s < 0 and abs(s) % 2:
-        want = -want
-    if m < 0 and abs(s) % 2:
-        want = -want
-    assert bessel_j(s, m) == want
-
-
 def test_array_prefix_consistency():
     # growing the requested order must not change lower-order values beyond
     # roundoff introduced by the normalization pass
@@ -99,23 +88,16 @@ def test_array_prefix_consistency():
 
 def test_bessel_argument_cap():
     with pytest.raises(ValueError):
-        bessel_j(0, 50.5)
+        bessel_j_array(0, 50.5)
     with pytest.raises(ValueError):
         bessel_j_array(5, -51.0)
 
 
-def test_series_oracle_validation():
-    with pytest.raises(ValueError):
-        bessel_j_series_oracle(-1, 1.0)
-    with pytest.raises(ValueError):
-        bessel_j_series_oracle(0, 1.0, terms=5)
-
-
 def test_tiny_argument_values():
     # two-term series territory
-    assert bessel_j(0, 1e-10) == pytest.approx(1.0, abs=1e-16)
-    assert bessel_j(1, 1e-10) == pytest.approx(5e-11, rel=1e-12)
-    assert bessel_j(3, 1e-12) == pytest.approx((0.5e-12) ** 3 / 6.0, rel=1e-10)
+    assert bessel_j_array(0, 1e-10)[0] == pytest.approx(1.0, abs=1e-16)
+    assert bessel_j_array(1, 1e-10)[1] == pytest.approx(5e-11, rel=1e-12)
+    assert bessel_j_array(3, 1e-12)[3] == pytest.approx((0.5e-12) ** 3 / 6.0, rel=1e-10)
 
 
 def test_unitary_exp_pauli_x_closed_form():
