@@ -236,28 +236,30 @@ def _write_output(text: str, out_path: str | None) -> int:
     return 0
 
 
-def _read_config(path: str) -> tuple[str | None, int]:
+def _load_config(path: str, command: str) -> tuple[RunConfig | None, int]:
+    """Read and parse a config for `command`; on failure, report and return the exit status."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read(), 0
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return None, 2
-
-
-def _cmd_run(args) -> int:
-    text, status = _read_config(args.config)
-    if status:
-        return status
     try:
         rc = parse_config(text)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if rc.command != args.command:
-        print(f"error: config is for command {rc.command!r}, invoked as {args.command!r}",
+        return None, 1
+    if rc.command != command:
+        print(f"error: config is for command {rc.command!r}, invoked as {command!r}",
               file=sys.stderr)
-        return 1
+        return None, 1
+    return rc, 0
+
+
+def _cmd_run(args) -> int:
+    rc, status = _load_config(args.config, args.command)
+    if status:
+        return status
     if args.model is not None:
         rc = dataclasses.replace(
             rc, points=tuple(dataclasses.replace(pt, model=args.model) for pt in rc.points)
@@ -275,18 +277,9 @@ def _cmd_verify(args) -> int:
     scale = 1.0
     fmt = None
     if args.config is not None:
-        text, status = _read_config(args.config)
+        rc, status = _load_config(args.config, "verify")
         if status:
             return status
-        try:
-            rc = parse_config(text)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        if rc.command != "verify":
-            print(f"error: config is for command {rc.command!r}, invoked as 'verify'",
-                  file=sys.stderr)
-            return 1
         scale = rc.tolerance_scale
         fmt = rc.fmt
     if args.tolerance_scale is not None:

@@ -138,7 +138,11 @@ class Truncation:
     def __post_init__(self) -> None:
         if not 0.0 < self.eps < 1.0:
             raise ValueError(f"eps must lie in (0, 1), got {self.eps!r}")
-        if not isinstance(self.margin, int) or not 0 <= self.margin <= _MAX_MARGIN:
+        if (
+            not isinstance(self.margin, int)
+            or isinstance(self.margin, bool)
+            or not 0 <= self.margin <= _MAX_MARGIN
+        ):
             raise ValueError(f"margin must be an integer in [0, {_MAX_MARGIN}], got {self.margin!r}")
 
 

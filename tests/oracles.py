@@ -1,11 +1,14 @@
 """Independent reference implementations used only by the tests.
 
-Everything here is stdlib-only and deliberately avoids the algorithms used
-inside the package (backward recurrence, scaled matrix exponentials), so an
-agreement between the two is meaningful.
+The Bessel references are stdlib-only and the matrix-exponential reference
+uses only numpy arithmetic.  Each deliberately avoids the algorithm used
+inside the package (backward recurrence, eigendecomposition), so an agreement
+between the two is meaningful.
 """
 
 import math
+
+import numpy as np
 
 
 def bessel_series(s: int, m: float, terms: int = 60) -> float:
@@ -54,3 +57,21 @@ def bessel_reference(s: int, m: float) -> float:
         sign *= -1.0 if s_abs % 2 else 1.0
     base = bessel_series(s_abs, m_val) if m_val <= 8.0 else bessel_integral(s_abs, m_val)
     return sign * base
+
+
+def unitary_exp_taylor(gen: np.ndarray, terms: int = 30) -> np.ndarray:
+    """Plain Taylor sum of exp(1j*G), with no scaling or squaring.
+
+    Only valid for a 1-norm of G at most 1: the truncation error is then
+    below 1/terms!, far under double precision for the default 30 terms.
+    """
+    g = np.asarray(gen, dtype=np.complex128)
+    if np.linalg.norm(g, 1) > 1.0 + 1e-12:
+        raise ValueError("Taylor oracle needs a 1-norm of at most 1")
+    a = 1j * g
+    term = np.eye(g.shape[0], dtype=np.complex128)
+    total = term.copy()
+    for k in range(1, terms):
+        term = term @ a / k
+        total += term
+    return total

@@ -83,8 +83,9 @@ def test_invalid_json_is_validation_error(tmp_path, capsys):
     assert "JSON" in capsys.readouterr().err
 
 
-def test_command_mismatch_is_rejected(capsys):
-    rc = main(["coherent", "--config", str(CONFIGS / "yb_dual_dsb.json")])
+@pytest.mark.parametrize("command", ["coherent", "verify"])
+def test_command_mismatch_is_rejected(command, capsys):
+    rc = main([command, "--config", str(CONFIGS / "yb_dual_dsb.json")])
     assert rc == 1
     assert "spectrum" in capsys.readouterr().err
 

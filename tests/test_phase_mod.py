@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -212,6 +213,17 @@ def test_retained_halfwidth_behavior():
     )
 
 
+@pytest.mark.parametrize("m", [0.05, 0.5, 1.0, 3.7, 12.0, 50.0])
+@pytest.mark.parametrize("eps", [1e-5, 1e-12, 1e-100, 1e-300])
+def test_retained_halfwidth_matches_mpmath(m, eps):
+    # the window ends at the first order past the turning point whose Bessel
+    # value drops below eps, located here with arbitrary-precision mpmath
+    s = int(m) + 1
+    while abs(mpmath.besselj(s, m)) >= eps:
+        s += 1
+    assert retained_halfwidth(m, Truncation(eps=eps, margin=0)) == s
+
+
 def test_truncation_controls_row_size():
     cfg = PMConfig(phi_b=0.0, m=1.0, theta_rf=0.0, tone=2)
     slim = pm_scatter_row(80, cfg, truncation=Truncation(eps=1e-4, margin=0))
@@ -280,6 +292,8 @@ def test_config_validation():
         Truncation(eps=0.0)
     with pytest.raises(ValueError):
         Truncation(margin=-1)
+    with pytest.raises(ValueError, match="margin must be an integer"):
+        Truncation(margin=True)
 
 
 def test_scatter_row_rejects_unknown_model():

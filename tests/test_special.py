@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from eomsim.special import bessel_j_array, unitary_exp
 
-from oracles import bessel_integral, bessel_reference, bessel_series
+from oracles import bessel_integral, bessel_reference, bessel_series, unitary_exp_taylor
 
 # Reference values computed from the defining series/integral at 40-digit
 # precision and frozen here.  They cover small, moderate and large arguments
@@ -120,17 +120,35 @@ def test_unitary_exp_diagonal_closed_form():
     assert np.max(np.abs(got - want)) < 1e-14
 
 
-def test_unitary_exp_against_eigendecomposition():
+def test_unitary_exp_against_taylor_series():
+    # the package exponentiates through eigh; the reference is a plain Taylor
+    # sum, valid because every generator here is scaled to 1-norm 1
     rng = np.random.default_rng(7)
     for dim in (3, 8, 40):
         a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         gen = 0.5 * (a + a.conj().T)
+        gen /= np.linalg.norm(gen, 1)
         got = unitary_exp(gen)
-        vals, vecs = np.linalg.eigh(gen)
-        want = vecs @ np.diag(np.exp(1j * vals)) @ vecs.conj().T
-        assert np.max(np.abs(got - want)) < 1e-12
+        assert np.max(np.abs(got - unitary_exp_taylor(gen))) < 1e-12
         eye = got @ got.conj().T
         assert np.max(np.abs(eye - np.eye(dim))) < 1e-12
+
+
+@pytest.mark.parametrize("dim", [357, 512])
+def test_unitary_exp_large_lattice_generator(dim):
+    # the shape pm_generator_oracle builds: bias on the diagonal, hopping
+    # m/2 e^{j theta} between modes n and n + N
+    m, theta, phi_b, tone = 50.0, 0.7, 0.4, 2
+    chi = 0.5 * m * np.exp(1j * theta)
+    gen = np.zeros((dim, dim), dtype=complex)
+    np.fill_diagonal(gen, phi_b)
+    idx = np.arange(dim - tone)
+    gen[idx, idx + tone] = chi
+    gen[idx + tone, idx] = np.conj(chi)
+    full = unitary_exp(gen)
+    half = unitary_exp(0.5 * gen)
+    assert np.max(np.abs(full @ full.conj().T - np.eye(dim))) < 1e-12
+    assert np.max(np.abs(full - half @ half)) < 1e-12
 
 
 def test_unitary_exp_rejects_bad_input():
