@@ -21,6 +21,8 @@ def main() -> None:
     ap.add_argument("--depth", type=float, default=0.4, help="modulation depth")
     ap.add_argument("--steps", type=int, default=9, help="bias points from 0 to pi/2")
     args = ap.parse_args()
+    if args.steps < 2:
+        ap.error(f"--steps must be at least 2 (both ends of the bias range), got {args.steps}")
 
     print(f"{'dphi/pi':>8} {'P(split)':>10} {'cos^2':>10} {'P(bunch)':>10} "
           f"{'sigma1':>8} {'sigma2':>8}")

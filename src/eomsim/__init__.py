@@ -19,17 +19,14 @@ from .engine import (
     mean_field,
     port_entanglement,
     preset,
-    single_drive_output,
     single_photon_output,
     ssb_settings,
-    two_photon_dc_closed_form,
     two_photon_output,
 )
 from .lattice import (
     SidebandDecomposition,
     decompose_mode,
     mode_omega,
-    sideband_mode,
 )
 from .phase_mod import (
     MultitonePMConfig,
@@ -45,7 +42,6 @@ from .special import bessel_j_array, unitary_exp
 from .splitters import (
     SplitterCoeffs,
     SplitterSpec,
-    coherent_through_splitter,
     splitter_coeffs,
     splitter_generator_oracle,
     verify_reciprocity,
@@ -68,7 +64,6 @@ __all__ = [
     "TwoPortSpectrum",
     "bessel_j_array",
     "coherent_output",
-    "coherent_through_splitter",
     "composition_oracle",
     "decompose_mode",
     "dsb_settings",
@@ -80,13 +75,10 @@ __all__ = [
     "port_entanglement",
     "preset",
     "retained_halfwidth",
-    "sideband_mode",
-    "single_drive_output",
     "single_photon_output",
     "splitter_coeffs",
     "splitter_generator_oracle",
     "ssb_settings",
-    "two_photon_dc_closed_form",
     "two_photon_output",
     "unitary_exp",
     "verify_reciprocity",

@@ -240,39 +240,6 @@ def coherent_output(
     return single_photon_output(cfg, input_port, n0, truncation, model).scaled(alpha)
 
 
-def single_drive_output(
-    cfg: EOMConfig,
-    n0: int,
-    truncation: Truncation | None = None,
-    model: str = "exact",
-) -> TwoPortSpectrum:
-    """Closed form for the dual Y-branch with only arm 1 driven.
-
-    Port 1 carries (C_q + delta_{q,q0}) / 2 and port 2 (-C_q + delta_{q,q0})
-    / 2.  Requires the balanced Y-branch preset weights and an undriven
-    arm 2; kept as an explicit expression (not a call into the general path)
-    so the two can be tested against each other.
-    """
-    if cfg.pm2 is not None:
-        raise ValueError("single-drive closed form requires an undriven arm 2")
-    if not isinstance(cfg.pm1, PMConfig):
-        raise ValueError("single-drive closed form requires an exact single-tone arm 1")
-    (w11, w12), (w21, w22) = _port_weights(cfg.coeffs_in(), cfg.coeffs_out(), 1)
-    expected = (0.5, 0.5, -0.5, 0.5)
-    got = (w11, w12, w21, w22)
-    if any(abs(g - e) > 1e-12 for g, e in zip(got, expected)):
-        raise ValueError("single-drive closed form requires the balanced dual Y-branch preset")
-    row = pm_scatter_row(n0, cfg.pm1, truncation, model)
-    port1 = {mode: 0.5 * amp for mode, amp in row.items()}
-    port1[n0] = port1.get(n0, 0.0) + 0.5
-    port2 = {mode: -0.5 * amp for mode, amp in row.items()}
-    port2[n0] = port2.get(n0, 0.0) + 0.5
-    return TwoPortSpectrum(
-        port1={m: a for m, a in sorted(port1.items()) if a != 0.0},
-        port2={m: a for m, a in sorted(port2.items()) if a != 0.0},
-    )
-
-
 def two_photon_output(
     cfg: EOMConfig,
     n0: int,
@@ -303,70 +270,45 @@ def two_photon_output(
     return TwoPhotonState(amps={k: c for k, c in amps.items() if c != 0.0})
 
 
-def two_photon_dc_closed_form(delta_phi: float, b_row: dict[int, complex]) -> TwoPhotonState:
-    """Two-photon output of the 3-dB coupler pair with arm bias difference.
-
-    With both arms driven identically up to a bias offset delta_phi, the
-    state is -exp(j dphi) { sin(dphi)/2 * [(b+)^2 port1 - (b+)^2 port2]
-    + cos(dphi) * (b+ port1)(b+ port2) } acting on vacuum, where b+ is the
-    common modulated-photon operator.  One photon leaves each port with
-    probability cos^2(dphi); both bunch onto one port with probability
-    sin^2(dphi)/2 each.
-    """
-    factor = complex(math.cos(delta_phi), math.sin(delta_phi))
-    bb_w = -0.5 * factor * math.sin(delta_phi)
-    split_w = -factor * math.cos(delta_phi)
-    amps: dict[PairKey, complex] = {}
-    modes = sorted(b_row)
-    for i, mode_a in enumerate(modes):
-        for mode_b in modes[i:]:
-            pair_coeff = b_row[mode_a] * b_row[mode_b]
-            if mode_a != mode_b:
-                pair_coeff *= 2.0
-            _add(amps, ((1, mode_a), (1, mode_b)), bb_w * pair_coeff)
-            _add(amps, ((2, mode_a), (2, mode_b)), -bb_w * pair_coeff)
-    for mode_a in modes:
-        for mode_b in modes:
-            _add(amps, ((1, mode_a), (2, mode_b)), split_w * b_row[mode_a] * b_row[mode_b])
-    return TwoPhotonState(amps={k: c for k, c in amps.items() if c != 0.0})
-
-
 def port_entanglement(state: TwoPhotonState) -> np.ndarray:
     """Schmidt coefficients of the port bipartition, cut at the numeric rank.
 
-    Rows index occupation states of port 1, columns of port 2.  Only singular
-    values above sigma_max * max(rows, cols) * eps are returned (numpy's
-    `matrix_rank` tolerance, strict), so the round-off tail of the SVD, which
-    varies with the BLAS build, never reaches the output; a product state,
-    whose two output ports are unentangled, yields exactly one value.  For a
-    normalized state the squared values sum to 1.
+    Rows of the coefficient matrix index occupation states of port 1, columns
+    of port 2.  The matrix is block-diagonal by the number of photons on
+    port 1: a column A over the 2|0 pairs, a block B whose rows are port-1
+    modes and columns port-2 modes over the split pairs, and a row C over the
+    0|2 pairs.  The spectrum is therefore {|A|, |C|} together with svd(B),
+    and B is the only matrix decomposed.  Only singular values above
+    sigma_max * max(rows, cols) * eps are returned (numpy's `matrix_rank`
+    tolerance, strict), with rows and cols the label counts of the full
+    coefficient matrix: rows = 2|0 pairs + port-1 modes of B + 1 if any 0|2
+    pair exists, and cols the mirror count.  So the round-off tail of the
+    SVD, which varies with the BLAS build, never reaches the output; a
+    product state, whose two output ports are unentangled, yields exactly one
+    value.  For a normalized state the squared values sum to 1.
     """
-    rows: dict[tuple, int] = {}
-    cols: dict[tuple, int] = {}
-    entries = []
+    bunched = {1: 0, 2: 0}  # 2|0 and 0|2 pair counts
+    bunched_sq = {1: 0.0, 2: 0.0}  # squared norms of the column A and the row C
+    rows: dict[int, int] = {}
+    cols: dict[int, int] = {}
+    split = []
     for ((p1, m1), (p2, m2)), c in sorted(state.amps.items()):
-        if p1 == 1 and p2 == 1:
-            row_label: tuple = ("two", m1, m2)
-            col_label: tuple = ("vac",)
-            qamp = c * (math.sqrt(2.0) if m1 == m2 else 1.0)
-        elif p1 == 2 and p2 == 2:
-            row_label = ("vac",)
-            col_label = ("two", m1, m2)
-            qamp = c * (math.sqrt(2.0) if m1 == m2 else 1.0)
+        if p1 == p2:
+            bunched[p1] += 1
+            bunched_sq[p1] += abs(c * (math.sqrt(2.0) if m1 == m2 else 1.0)) ** 2
         else:
-            row_label = ("one", m1)
-            col_label = ("one", m2)
-            qamp = c
-        rows.setdefault(row_label, len(rows))
-        cols.setdefault(col_label, len(cols))
-        entries.append((rows[row_label], cols[col_label], qamp))
-    if not entries:
+            split.append((rows.setdefault(m1, len(rows)), cols.setdefault(m2, len(cols)), c))
+    svs = [math.sqrt(bunched_sq[p]) for p in (1, 2) if bunched[p]]
+    if split:
+        block = np.zeros((len(rows), len(cols)), dtype=np.complex128)
+        for i, j, c in split:
+            block[i, j] = c
+        svs.extend(np.linalg.svd(block, compute_uv=False))
+    if not svs:
         return np.zeros(0)
-    mat = np.zeros((len(rows), len(cols)), dtype=np.complex128)
-    for i, j, qamp in entries:
-        mat[i, j] += qamp
-    svs = np.linalg.svd(mat, compute_uv=False)
-    return svs[svs > svs[0] * max(mat.shape) * np.finfo(float).eps]
+    svs = np.sort(svs)[::-1]
+    shape = (bunched[1] + len(rows) + (bunched[2] > 0), (bunched[1] > 0) + len(cols) + bunched[2])
+    return svs[svs > svs[0] * max(shape) * np.finfo(float).eps]
 
 
 def mean_field(
@@ -483,13 +425,6 @@ def _accumulate(
         for mode, amp in row2.items():
             out[mode] = out.get(mode, 0.0) + w2 * amp
     return {mode: amp for mode, amp in sorted(out.items()) if amp != 0.0}
-
-
-def _add(amps: dict[PairKey, complex], key: PairKey, val: complex) -> None:
-    if val != 0.0:
-        a, b = key
-        k = key if a <= b else (b, a)
-        amps[k] = amps.get(k, 0.0) + val
 
 
 def _auto_lattice(cfg: EOMConfig, n0: int) -> int:

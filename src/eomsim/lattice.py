@@ -20,8 +20,8 @@ class SidebandDecomposition:
     """Carrier position on the sideband ladder of an RF tone.
 
     A carrier mode n0 driven at tone N sits at rung q0 of the ladder
-    n = q*N - r0, with 0 <= r0 < N and q0 >= 1.  Sideband order q maps
-    back to a lattice mode via :func:`sideband_mode`.
+    n = q*N - r0, with 0 <= r0 < N and q0 >= 1, so sideband rung q is
+    lattice mode q*N - r0.
     """
 
     q0: int
@@ -40,16 +40,6 @@ def decompose_mode(n0: int, tone: int) -> SidebandDecomposition:
     q0 = -(-n0 // tone)  # ceil division
     r0 = q0 * tone - n0
     return SidebandDecomposition(q0=q0, r0=r0, tone=tone)
-
-
-def sideband_mode(q: int, tone: int, r0: int) -> int:
-    """Lattice mode at sideband rung q of the ladder q*tone - r0."""
-    _check_tone(tone)
-    if not isinstance(q, int) or q < 1:
-        raise ValueError(f"sideband rung must be an integer >= 1, got {q!r}")
-    if not isinstance(r0, int) or not 0 <= r0 < tone:
-        raise ValueError(f"ladder offset must satisfy 0 <= r0 < tone, got {r0!r}")
-    return q * tone - r0
 
 
 def mode_omega(n: int, nu: float = 1.0, length: float = TWO_PI) -> float:

@@ -152,17 +152,3 @@ def splitter_generator_oracle(spec: SplitterSpec) -> np.ndarray:
         gen = np.array([[0.0, 0.5 * theta], [0.5 * theta, 0.0]], dtype=np.complex128)
     mat = unitary_exp(gen)
     return mat.T.copy() if spec.reverse else mat
-
-
-def coherent_through_splitter(
-    coeffs: SplitterCoeffs, alpha: complex, beta: complex
-) -> tuple[complex, complex]:
-    """Displacement amplitudes after the splitter for inputs (alpha, beta).
-
-    Coherent amplitudes transform with the same table as the creation
-    operators: output port 1 carries t'*alpha + r*beta, port 2 carries
-    r'*alpha + t*beta.  Total power |alpha|^2 + |beta|^2 is conserved.
-    """
-    out1 = coeffs.tp * alpha + coeffs.r * beta
-    out2 = coeffs.rp * alpha + coeffs.t * beta
-    return out1, out2

@@ -3,12 +3,19 @@
 The Bessel references are stdlib-only and the matrix-exponential reference
 uses only numpy arithmetic.  Each deliberately avoids the algorithm used
 inside the package (backward recurrence, eigendecomposition), so an agreement
-between the two is meaningful.
+between the two is meaningful.  The closed forms below (sideband rungs, a
+coherent splitter, the single-drive Y-branch, the coupler photon pair) are
+written out as explicit expressions rather than calls into the general
+device path, and `schmidt_dense` decomposes the full port coefficient matrix
+that `port_entanglement` splits into blocks.
 """
 
 import math
 
 import numpy as np
+
+from eomsim.engine import TwoPhotonState, TwoPortSpectrum
+from eomsim.phase_mod import PMConfig, pm_scatter_row
 
 
 def bessel_series(s: int, m: float, terms: int = 60) -> float:
@@ -75,3 +82,125 @@ def unitary_exp_taylor(gen: np.ndarray, terms: int = 30) -> np.ndarray:
         term = term @ a / k
         total += term
     return total
+
+
+def sideband_mode(q: int, tone: int, r0: int) -> int:
+    """Lattice mode at sideband rung q of the ladder q*tone - r0."""
+    if not isinstance(tone, int) or isinstance(tone, bool) or tone < 1:
+        raise ValueError(f"RF tone must be an integer harmonic >= 1, got {tone!r}")
+    if not isinstance(q, int) or q < 1:
+        raise ValueError(f"sideband rung must be an integer >= 1, got {q!r}")
+    if not isinstance(r0, int) or not 0 <= r0 < tone:
+        raise ValueError(f"ladder offset must satisfy 0 <= r0 < tone, got {r0!r}")
+    return q * tone - r0
+
+
+def coherent_through_splitter(coeffs, alpha: complex, beta: complex) -> tuple[complex, complex]:
+    """Displacement amplitudes after the splitter for inputs (alpha, beta).
+
+    Coherent amplitudes transform with the same table as the creation
+    operators: output port 1 carries t'*alpha + r*beta, port 2 carries
+    r'*alpha + t*beta.  Total power |alpha|^2 + |beta|^2 is conserved.
+    """
+    out1 = coeffs.tp * alpha + coeffs.r * beta
+    out2 = coeffs.rp * alpha + coeffs.t * beta
+    return out1, out2
+
+
+def single_drive_output(cfg, n0: int, truncation=None, model: str = "exact") -> TwoPortSpectrum:
+    """Closed form for the dual Y-branch with only arm 1 driven.
+
+    Port 1 carries (C_q + delta_{q,q0}) / 2 and port 2 (-C_q + delta_{q,q0})
+    / 2.  Requires the balanced Y-branch preset weights and an undriven
+    arm 2.
+    """
+    if cfg.pm2 is not None:
+        raise ValueError("single-drive closed form requires an undriven arm 2")
+    if not isinstance(cfg.pm1, PMConfig):
+        raise ValueError("single-drive closed form requires an exact single-tone arm 1")
+    ci, co = cfg.coeffs_in(), cfg.coeffs_out()
+    # (arm 1, arm 2) weights from input port 1 to output port 1, then port 2
+    got = (ci.tp * co.tp, ci.rp * co.r, ci.tp * co.rp, ci.rp * co.t)
+    expected = (0.5, 0.5, -0.5, 0.5)
+    if any(abs(g - e) > 1e-12 for g, e in zip(got, expected)):
+        raise ValueError("single-drive closed form requires the balanced dual Y-branch preset")
+    row = pm_scatter_row(n0, cfg.pm1, truncation, model)
+    port1 = {mode: 0.5 * amp for mode, amp in row.items()}
+    port1[n0] = port1.get(n0, 0.0) + 0.5
+    port2 = {mode: -0.5 * amp for mode, amp in row.items()}
+    port2[n0] = port2.get(n0, 0.0) + 0.5
+    return TwoPortSpectrum(
+        port1={m: a for m, a in sorted(port1.items()) if a != 0.0},
+        port2={m: a for m, a in sorted(port2.items()) if a != 0.0},
+    )
+
+
+def two_photon_dc_closed_form(delta_phi: float, b_row: dict[int, complex]) -> TwoPhotonState:
+    """Two-photon output of the 3-dB coupler pair with arm bias difference.
+
+    With both arms driven identically up to a bias offset delta_phi, the
+    state is -exp(j dphi) { sin(dphi)/2 * [(b+)^2 port1 - (b+)^2 port2]
+    + cos(dphi) * (b+ port1)(b+ port2) } acting on vacuum, where b+ is the
+    common modulated-photon operator.  One photon leaves each port with
+    probability cos^2(dphi); both bunch onto one port with probability
+    sin^2(dphi)/2 each.
+    """
+    factor = complex(math.cos(delta_phi), math.sin(delta_phi))
+    bb_w = -0.5 * factor * math.sin(delta_phi)
+    split_w = -factor * math.cos(delta_phi)
+    amps: dict = {}
+    modes = sorted(b_row)
+    for i, mode_a in enumerate(modes):
+        for mode_b in modes[i:]:
+            pair_coeff = b_row[mode_a] * b_row[mode_b]
+            if mode_a != mode_b:
+                pair_coeff *= 2.0
+            _add(amps, ((1, mode_a), (1, mode_b)), bb_w * pair_coeff)
+            _add(amps, ((2, mode_a), (2, mode_b)), -bb_w * pair_coeff)
+    for mode_a in modes:
+        for mode_b in modes:
+            _add(amps, ((1, mode_a), (2, mode_b)), split_w * b_row[mode_a] * b_row[mode_b])
+    return TwoPhotonState(amps={k: c for k, c in amps.items() if c != 0.0})
+
+
+def _add(amps: dict, key, val: complex) -> None:
+    if val != 0.0:
+        a, b = key
+        k = key if a <= b else (b, a)
+        amps[k] = amps.get(k, 0.0) + val
+
+
+def schmidt_dense(state: TwoPhotonState) -> np.ndarray:
+    """Schmidt coefficients from one SVD of the full port coefficient matrix.
+
+    Rows index every occupation state of port 1 (both photons, one photon,
+    vacuum), columns those of port 2, so the matrix is indexed by pair
+    labels and its SVD grows with the square of the pair count.  Same
+    cutoff as `port_entanglement`: values above sigma_max * max(shape) * eps.
+    """
+    rows: dict[tuple, int] = {}
+    cols: dict[tuple, int] = {}
+    entries = []
+    for ((p1, m1), (p2, m2)), c in sorted(state.amps.items()):
+        if p1 == 1 and p2 == 1:
+            row_label: tuple = ("two", m1, m2)
+            col_label: tuple = ("vac",)
+            qamp = c * (math.sqrt(2.0) if m1 == m2 else 1.0)
+        elif p1 == 2 and p2 == 2:
+            row_label = ("vac",)
+            col_label = ("two", m1, m2)
+            qamp = c * (math.sqrt(2.0) if m1 == m2 else 1.0)
+        else:
+            row_label = ("one", m1)
+            col_label = ("one", m2)
+            qamp = c
+        rows.setdefault(row_label, len(rows))
+        cols.setdefault(col_label, len(cols))
+        entries.append((rows[row_label], cols[col_label], qamp))
+    if not entries:
+        return np.zeros(0)
+    mat = np.zeros((len(rows), len(cols)), dtype=np.complex128)
+    for i, j, qamp in entries:
+        mat[i, j] += qamp
+    svs = np.linalg.svd(mat, compute_uv=False)
+    return svs[svs > svs[0] * max(mat.shape) * np.finfo(float).eps]

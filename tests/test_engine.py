@@ -13,13 +13,13 @@ from eomsim.engine import (
     dsb_settings,
     mean_field,
     preset,
-    single_drive_output,
     single_photon_output,
     ssb_settings,
 )
 from eomsim.lattice import decompose_mode, mode_omega
 from eomsim.phase_mod import PMConfig, pm_scatter_row
 from eomsim.splitters import SplitterSpec
+from oracles import single_drive_output
 
 
 def _order(mode, n0, tone):

@@ -3,7 +3,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from eomsim.lattice import TWO_PI, decompose_mode, mode_omega, sideband_mode
+from eomsim.lattice import TWO_PI, decompose_mode, mode_omega
+from oracles import sideband_mode
 
 
 @pytest.mark.parametrize(

@@ -8,11 +8,11 @@ from hypothesis import given, strategies as st
 from eomsim.splitters import (
     SplitterCoeffs,
     SplitterSpec,
-    coherent_through_splitter,
     splitter_coeffs,
     splitter_generator_oracle,
     verify_reciprocity,
 )
+from oracles import coherent_through_splitter
 
 SQ = math.sqrt(0.5)
 

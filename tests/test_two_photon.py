@@ -1,23 +1,24 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from eomsim.engine import (
-    port_entanglement,
-    preset,
-    two_photon_dc_closed_form,
-    two_photon_output,
-)
+from eomsim.engine import port_entanglement, preset, two_photon_output
 from eomsim.phase_mod import PMConfig, Truncation, pm_scatter_row
+from oracles import schmidt_dense, two_photon_dc_closed_form
 
 DPHI_GRID = [0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2]
 
 
+def _pair_device(name, bias, m, tones):
+    pm1 = PMConfig(phi_b=bias, m=m, theta_rf=0.0, tone=tones[0])
+    pm2 = None if name.endswith("_single") else PMConfig(phi_b=0.0, m=m, theta_rf=0.0, tone=tones[1])
+    return preset(name, pm1=pm1, pm2=pm2)
+
+
 def _dc_pair_config(delta_phi, m=0.4, tone=2):
-    pm1 = PMConfig(phi_b=delta_phi, m=m, theta_rf=0.0, tone=tone)
-    pm2 = PMConfig(phi_b=0.0, m=m, theta_rf=0.0, tone=tone)
-    return preset("dc_dual", pm1=pm1, pm2=pm2)
+    return _pair_device("dc_dual", delta_phi, m, (tone, tone))
 
 
 def test_identity_device_keeps_photons_split():
@@ -110,3 +111,53 @@ def test_truncation_propagates_to_pairs():
     wide = two_photon_output(_dc_pair_config(0.3, m=0.3), 60)
     assert len(slim.amps) < len(wide.amps)
     assert slim.norm_sq() == pytest.approx(1.0, abs=1e-6)
+
+
+def _schmidt_grid():
+    for name, tones, bias, n0, model, m in itertools.product(
+        ("yb_dual", "dc_dual", "hybrid_dual", "dc_single"),
+        ((2, 2), (2, 5)),
+        (0.0, 0.3, math.pi / 2),
+        (2, 40),  # n0 = 2 puts the lattice wall inside the window
+        ("exact", "optical"),
+        (0.1, 0.4),
+    ):
+        if name.endswith("_single") and tones != (2, 2):
+            continue  # arm 2 is undriven, so its tone is never used
+        yield pytest.param(name, tones, bias, n0, model, m,
+                           id=f"{name}-{tones[0]}/{tones[1]}-b{bias:.2f}-n{n0}-{model}-m{m}")
+
+
+@pytest.mark.parametrize("name, tones, bias, n0, model, m", _schmidt_grid())
+def test_block_spectrum_matches_dense_svd(name, tones, bias, n0, model, m):
+    state = two_photon_output(_pair_device(name, bias, m, tones), n0, model=model)
+    blocks = port_entanglement(state)
+    dense = schmidt_dense(state)
+    assert len(blocks) == len(dense)
+    assert np.max(np.abs(blocks - dense)) <= 1e-14
+
+
+@pytest.mark.parametrize("tones", [(1, 1), (2, 3)])
+def test_schmidt_cost_is_bounded_by_the_ladder(monkeypatch, tones):
+    state = two_photon_output(_pair_device("dc_dual", 0.3, 5.0, tones), 200)
+    split_modes = {m for ((p1, m1), (p2, m2)) in state.amps if p1 != p2 for m in (m1, m2)}
+    assert len(state.amps) > 50 * len(split_modes)  # pairs far outnumber ladder modes
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    svs = port_entanglement(state)
+    assert len(shapes) == 1  # only the one-photon-per-port block is decomposed
+    assert max(shapes[0]) <= len(split_modes)
+    assert np.sum(svs**2) == pytest.approx(state.norm_sq(), abs=1e-12)
+
+
+def test_schmidt_spectrum_at_depth_cap():
+    state = two_photon_output(_pair_device("dc_dual", 0.3, 50.0, (2, 3)), 1000)
+    svs = port_entanglement(state)
+    assert np.all(svs[:-1] >= svs[1:])
+    assert np.sum(svs**2) == pytest.approx(state.norm_sq(), abs=1e-12)
