@@ -121,9 +121,8 @@ def _spectrum_point(pt: RunPoint, idx: int, coherent: bool) -> dict:
 def _two_photon_point(pt: RunPoint, idx: int) -> dict:
     state = two_photon_output(pt.eom, pt.n0, pt.truncation, pt.model)
     pairs = []
-    for key in sorted(state.amps):
+    for key, amp in state.amps.items():
         (p1, m1), (p2, m2) = key
-        amp = state.amps[key]
         pairs.append({
             "port_a": p1, "mode_a": m1, "port_b": p2, "mode_b": m2,
             "re": amp.real, "im": amp.imag,

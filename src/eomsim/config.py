@@ -23,6 +23,7 @@ from .splitters import SplitterSpec
 COMMANDS = ("spectrum", "coherent", "two-photon", "mean-field", "verify")
 FORMATS = ("csv", "json")
 MODELS = ("exact", "optical")
+_MAX_SAMPLES = 1_000_000  # mean-field sample times are built in memory up front
 
 
 class ConfigError(ValueError):
@@ -246,8 +247,8 @@ def _resolve_point(doc: dict, command: str, prefix: str) -> RunPoint:
         t0 = _get_num(mfo, "t_start", prefix + "mean_field", default=0.0)
         t1 = _get_num(mfo, "t_stop", prefix + "mean_field", required=True)
         ns = _get_int(mfo, "samples", prefix + "mean_field", required=True)
-        if ns < 1:
-            raise ConfigError(f"{prefix}mean_field.samples: must be >= 1, got {ns}")
+        if not 1 <= ns <= _MAX_SAMPLES:
+            raise ConfigError(f"{prefix}mean_field.samples: must be in [1, {_MAX_SAMPLES}], got {ns}")
         nu = _get_num(mfo, "nu", prefix + "mean_field", default=1.0)
         length = _get_num(mfo, "length", prefix + "mean_field", default=2.0 * math.pi)
         if nu <= 0.0 or length <= 0.0:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -97,37 +98,48 @@ class TwoPortSpectrum:
 
 @dataclass(frozen=True)
 class TwoPhotonState:
-    """Two-photon amplitudes over unordered (port, mode) pairs.
+    """Photon pair from one photon in each input port.
 
-    The stored number for a pair {x, y} is the coefficient of the monomial
-    a_x^dag a_y^dag in the output operator product (both orderings summed
-    when x != y).  The bosonic sqrt(2) for doubly occupied labels enters at
-    norm/probability computation, so a double occupancy contributes
-    2*|amp|^2 and (b^dag)^2 acting on vacuum has squared norm 2.
+    `first` and `second` are the one-photon outputs of input ports 1 and 2.
+    The pair amplitude of unordered (port, mode) labels {x, y} is
+    first_x*second_y + first_y*second_x, or first_x*second_x when x == y: the
+    coefficient of a_x^dag a_y^dag.  The bosonic sqrt(2) for doubly occupied
+    labels enters at norm/probability computation, so a double occupancy
+    contributes 2*|amp|^2 and (b^dag)^2 acting on vacuum has squared norm 2.
     """
 
-    amps: dict[PairKey, complex]
+    first: TwoPortSpectrum
+    second: TwoPortSpectrum
+
+    @cached_property
+    def amps(self) -> dict[PairKey, complex]:
+        """Nonzero pair amplitudes, in sorted key order."""
+        first, second = self.first, self.second
+        labels = sorted({(p, m) for spec in (first, second) for p in (1, 2) for m in spec.port(p)})
+        rows = [(x, first.port(x[0]).get(x[1], 0.0), second.port(x[0]).get(x[1], 0.0)) for x in labels]
+        out: dict[PairKey, complex] = {}
+        for i, (x, ax, bx) in enumerate(rows):
+            for y, ay, by in rows[i:]:
+                c = 0.0 + ax * by  # a running sum from 0.0: a -0.0 product adds as +0.0
+                if x != y:
+                    c = c + ay * bx
+                if c != 0.0:
+                    out[x, y] = c
+        return out
 
     def norm_sq(self) -> float:
-        return sum(
-            (2.0 if x == y else 1.0) * abs(c) ** 2 for (x, y), c in self.amps.items()
-        )
+        return sum(self.pair_probability(key) for key in self.amps)
 
     def pair_probability(self, key: PairKey) -> float:
         x, y = key
-        c = self.amps.get(key, 0.0)
-        return (2.0 if x == y else 1.0) * abs(c) ** 2
+        return (2.0 if x == y else 1.0) * abs(self.amps.get(key, 0.0)) ** 2
 
     def sector_probabilities(self) -> dict[str, float]:
         """Probabilities of both photons on port 1, one per port, both on 2."""
         out = {"both_port1": 0.0, "split": 0.0, "both_port2": 0.0}
         for key in self.amps:
             (p1, _m1), (p2, _m2) = key
-            if p1 == p2:
-                name = "both_port1" if p1 == 1 else "both_port2"
-            else:
-                name = "split"
-            out[name] += self.pair_probability(key)
+            out[f"both_port{p1}" if p1 == p2 else "split"] += self.pair_probability(key)
         return out
 
 
@@ -248,66 +260,42 @@ def two_photon_output(
 ) -> TwoPhotonState:
     """Joint state for one photon in each input port, both at carrier n0.
 
-    Built by multiplying the two transformed creation operators and applying
-    them to vacuum; for balanced splitters the amplitude for the photons to
-    take different arms cancels exactly (t_i t'_i + r_i r'_i = 0), the
-    two-photon interference that makes the output bunch.
+    The state is the two one-photon outputs; in their product the amplitude
+    for the photons to take different arms of a balanced splitter cancels
+    exactly (t_i t'_i + r_i r'_i = 0), the interference that makes it bunch.
     """
-    spec_a = single_photon_output(cfg, 1, n0, truncation, model)
-    spec_b = single_photon_output(cfg, 2, n0, truncation, model)
-    amps: dict[PairKey, complex] = {}
-    entries_b = [
-        ((port, mode), amp)
-        for port, row in ((1, spec_b.port1), (2, spec_b.port2))
-        for mode, amp in row.items()
-    ]
-    for port_a, row_a in ((1, spec_a.port1), (2, spec_a.port2)):
-        for mode_a, amp_a in row_a.items():
-            label_a = (port_a, mode_a)
-            for label_b, amp_b in entries_b:
-                key = (label_a, label_b) if label_a <= label_b else (label_b, label_a)
-                amps[key] = amps.get(key, 0.0) + amp_a * amp_b
-    return TwoPhotonState(amps={k: c for k, c in amps.items() if c != 0.0})
+    return TwoPhotonState(
+        first=single_photon_output(cfg, 1, n0, truncation, model),
+        second=single_photon_output(cfg, 2, n0, truncation, model),
+    )
 
 
 def port_entanglement(state: TwoPhotonState) -> np.ndarray:
     """Schmidt coefficients of the port bipartition, cut at the numeric rank.
 
     Rows of the coefficient matrix index occupation states of port 1, columns
-    of port 2.  The matrix is block-diagonal by the number of photons on
-    port 1: a column A over the 2|0 pairs, a block B whose rows are port-1
-    modes and columns port-2 modes over the split pairs, and a row C over the
-    0|2 pairs.  The spectrum is therefore {|A|, |C|} together with svd(B),
-    and B is the only matrix decomposed.  Only singular values above
+    of port 2.  It is block-diagonal by the photon count on port 1: a column A
+    over the 2|0 pairs, a block B (port-1 by port-2 modes) and a row C over
+    the 0|2 pairs, all read off a = `state.first` and b = `state.second`
+    without the pair table.  With u = [a1 b1] and v = [b2 a2] over each
+    port's union of supports, |A|^2 = G00*G11 + |G01|^2 for G = u^H u (C
+    mirrors it with v), and B = u v^T has rank <= 2: its singular values are
+    those of the core R_u R_v^T of the two QR factors.  Only values above
     sigma_max * max(rows, cols) * eps are returned (numpy's `matrix_rank`
-    tolerance, strict), with rows and cols the label counts of the full
-    coefficient matrix: rows = 2|0 pairs + port-1 modes of B + 1 if any 0|2
-    pair exists, and cols the mirror count.  So the round-off tail of the
-    SVD, which varies with the BLAS build, never reaches the output; a
-    product state, whose two output ports are unentangled, yields exactly one
+    tolerance, strict), with rows = 2|0 pairs + port-1 modes + 1 if any 0|2
+    pair, and cols the mirror; a port with supports Sa and Sb counts
+    |Sa|*|Sb| - C(|Sa & Sb|, 2) bunched pairs.  So the BLAS-dependent
+    round-off tail never reaches the output and a product state yields one
     value.  For a normalized state the squared values sum to 1.
     """
-    bunched = {1: 0, 2: 0}  # 2|0 and 0|2 pair counts
-    bunched_sq = {1: 0.0, 2: 0.0}  # squared norms of the column A and the row C
-    rows: dict[int, int] = {}
-    cols: dict[int, int] = {}
-    split = []
-    for ((p1, m1), (p2, m2)), c in sorted(state.amps.items()):
-        if p1 == p2:
-            bunched[p1] += 1
-            bunched_sq[p1] += abs(c * (math.sqrt(2.0) if m1 == m2 else 1.0)) ** 2
-        else:
-            split.append((rows.setdefault(m1, len(rows)), cols.setdefault(m2, len(cols)), c))
-    svs = [math.sqrt(bunched_sq[p]) for p in (1, 2) if bunched[p]]
-    if split:
-        block = np.zeros((len(rows), len(cols)), dtype=np.complex128)
-        for i, j, c in split:
-            block[i, j] = c
-        svs.extend(np.linalg.svd(block, compute_uv=False))
-    if not svs:
-        return np.zeros(0)
+    u, norm_a, pairs_a = _port_factors(state.first.port1, state.second.port1)
+    v, norm_c, pairs_c = _port_factors(state.second.port2, state.first.port2)
+    svs = [norm_a, norm_c]
+    if len(u) and len(v):
+        core = np.linalg.qr(u, mode="r") @ np.linalg.qr(v, mode="r").T
+        svs.extend(np.linalg.svd(core, compute_uv=False))
     svs = np.sort(svs)[::-1]
-    shape = (bunched[1] + len(rows) + (bunched[2] > 0), (bunched[1] > 0) + len(cols) + bunched[2])
+    shape = (pairs_a + len(u) + (pairs_c > 0), (pairs_a > 0) + len(v) + pairs_c)
     return svs[svs > svs[0] * max(shape) * np.finfo(float).eps]
 
 
@@ -425,6 +413,15 @@ def _accumulate(
         for mode, amp in row2.items():
             out[mode] = out.get(mode, 0.0) + w2 * amp
     return {mode: amp for mode, amp in sorted(out.items()) if amp != 0.0}
+
+
+def _port_factors(x: dict[int, complex], y: dict[int, complex]) -> tuple[np.ndarray, float, int]:
+    """One port's [x y] over the union of modes, and its bunched pairs' norm and count."""
+    modes = sorted(x.keys() | y.keys())
+    u = np.array([(x.get(m, 0.0), y.get(m, 0.0)) for m in modes], dtype=np.complex128).reshape(-1, 2)
+    g = u.conj().T @ u
+    pairs = len(x) * len(y) - math.comb(len(x.keys() & y.keys()), 2)
+    return u, math.sqrt(g[0, 0].real * g[1, 1].real + abs(g[0, 1]) ** 2), pairs
 
 
 def _auto_lattice(cfg: EOMConfig, n0: int) -> int:

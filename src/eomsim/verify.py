@@ -281,6 +281,7 @@ def check_two_photon(scale: float = 1.0) -> CheckResult:
 
     worst_norm = 0.0
     worst_prob = 0.0
+    worst_weight = 0.0
     for dphi in (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2):
         pm1 = PMConfig(phi_b=dphi, m=m, theta_rf=0.0, tone=tone)
         pm2 = PMConfig(phi_b=0.0, m=m, theta_rf=0.0, tone=tone)
@@ -289,12 +290,13 @@ def check_two_photon(scale: float = 1.0) -> CheckResult:
         worst_norm = max(worst_norm, abs(state.norm_sq() - 1.0))
         sectors = state.sector_probabilities()
         worst_prob = max(worst_prob, abs(sectors["split"] - math.cos(dphi) ** 2))
-        if dphi == 0.0:
-            svs = port_entanglement(state)
-            if len(svs) > 1 and svs[1] > sv_tol:
-                return CheckResult(9, "two_photon", False,
-                                   f"second Schmidt coefficient {svs[1]:.3e} > {sv_tol:.3e} "
-                                   "for a matched pair")
+        # the spectrum comes from the one-photon outputs, the norm from the pair table
+        svs = port_entanglement(state)
+        worst_weight = max(worst_weight, abs(float(np.sum(svs**2)) - state.norm_sq()))
+        if dphi == 0.0 and len(svs) > 1 and svs[1] > sv_tol:
+            return CheckResult(9, "two_photon", False,
+                               f"second Schmidt coefficient {svs[1]:.3e} > {sv_tol:.3e} "
+                               "for a matched pair")
         if dphi == math.pi / 2:
             worst_split = max(
                 (abs(a) for ((p1, _m1), (p2, _m2)), a in state.amps.items() if p1 != p2),
@@ -319,8 +321,10 @@ def check_two_photon(scale: float = 1.0) -> CheckResult:
         if not (both_arm1 or both_arm2):
             stray = max(stray, abs(amp))
 
-    passed = worst_norm <= norm_tol and worst_prob <= prob_tol and stray <= null_tol
+    passed = (worst_norm <= norm_tol and worst_weight <= norm_tol and worst_prob <= prob_tol
+              and stray <= null_tol)
     detail = (f"worst norm defect {worst_norm:.3e} (tol {norm_tol:.3e}); "
+              f"worst Schmidt weight vs norm {worst_weight:.3e} (tol {norm_tol:.3e}); "
               f"worst split-probability defect {worst_prob:.3e} (tol {prob_tol:.3e}); "
               f"stray off-ladder amplitude {stray:.3e}")
     return CheckResult(9, "two_photon", passed, detail)

@@ -6,8 +6,9 @@ inside the package (backward recurrence, eigendecomposition), so an agreement
 between the two is meaningful.  The closed forms below (sideband rungs, a
 coherent splitter, the single-drive Y-branch, the coupler photon pair) are
 written out as explicit expressions rather than calls into the general
-device path, and `schmidt_dense` decomposes the full port coefficient matrix
-that `port_entanglement` splits into blocks.
+device path, `pair_table_accumulated` sums the pair table product by product,
+and `schmidt_dense` decomposes the full port coefficient matrix that
+`port_entanglement` reads off the two one-photon outputs.
 """
 
 import math
@@ -135,15 +136,15 @@ def single_drive_output(cfg, n0: int, truncation=None, model: str = "exact") -> 
     )
 
 
-def two_photon_dc_closed_form(delta_phi: float, b_row: dict[int, complex]) -> TwoPhotonState:
-    """Two-photon output of the 3-dB coupler pair with arm bias difference.
+def two_photon_dc_closed_form(delta_phi: float, b_row: dict[int, complex]) -> dict:
+    """Pair amplitudes of the 3-dB coupler pair with arm bias difference.
 
     With both arms driven identically up to a bias offset delta_phi, the
     state is -exp(j dphi) { sin(dphi)/2 * [(b+)^2 port1 - (b+)^2 port2]
     + cos(dphi) * (b+ port1)(b+ port2) } acting on vacuum, where b+ is the
     common modulated-photon operator.  One photon leaves each port with
     probability cos^2(dphi); both bunch onto one port with probability
-    sin^2(dphi)/2 each.
+    sin^2(dphi)/2 each.  Returns {pair key: amplitude} over nonzero pairs.
     """
     factor = complex(math.cos(delta_phi), math.sin(delta_phi))
     bb_w = -0.5 * factor * math.sin(delta_phi)
@@ -160,7 +161,29 @@ def two_photon_dc_closed_form(delta_phi: float, b_row: dict[int, complex]) -> Tw
     for mode_a in modes:
         for mode_b in modes:
             _add(amps, ((1, mode_a), (2, mode_b)), split_w * b_row[mode_a] * b_row[mode_b])
-    return TwoPhotonState(amps={k: c for k, c in amps.items() if c != 0.0})
+    return {k: c for k, c in amps.items() if c != 0.0}
+
+
+def pair_table_accumulated(first: TwoPortSpectrum, second: TwoPortSpectrum) -> dict:
+    """Pair amplitudes by accumulating every product of the two one-photon outputs.
+
+    Walks every (first entry, second entry) product and adds it into the
+    unordered pair key, starting from 0.0, then drops exact zeros.  The dict
+    is in first-insertion order, not sorted.
+    """
+    amps: dict = {}
+    entries_b = [
+        ((port, mode), amp)
+        for port, row in ((1, second.port1), (2, second.port2))
+        for mode, amp in row.items()
+    ]
+    for port_a, row_a in ((1, first.port1), (2, first.port2)):
+        for mode_a, amp_a in row_a.items():
+            label_a = (port_a, mode_a)
+            for label_b, amp_b in entries_b:
+                key = (label_a, label_b) if label_a <= label_b else (label_b, label_a)
+                amps[key] = amps.get(key, 0.0) + amp_a * amp_b
+    return {k: c for k, c in amps.items() if c != 0.0}
 
 
 def _add(amps: dict, key, val: complex) -> None:

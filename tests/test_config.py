@@ -148,6 +148,9 @@ def test_descriptions_are_ignored_everywhere():
         (lambda d: d.update(truncation={"eps": 1e-9, "margin": -1}), "truncation"),
         (lambda d: d.update(truncation={"margin": 401}), "truncation: margin"),
         (lambda d: d.update(mean_field={"port": 1, "t_stop": 1.0, "samples": 4}), "mean_field"),
+        (lambda d: d.update(command="mean-field", input={"mode": 30, "alpha": 1.0},
+                            mean_field={"t_stop": 1.0, "samples": 1_000_001}),
+         "mean_field.samples"),
         (lambda d: d.update(output={"format": "yaml"}), "output.format"),
         (lambda d: d.update(sweep=[]), "sweep"),
         (lambda d: d.update(tolerance_scale=2.0), "tolerance_scale"),
@@ -165,6 +168,15 @@ def test_truncation_margin_bound_is_inclusive():
     # reaches every nonzero amplitude and larger margins only cost time
     pt = _parse(_doc(truncation={"margin": 400})).points[0]
     assert pt.truncation.margin == 400
+
+
+def test_mean_field_samples_bound_is_inclusive():
+    # the sample times are held in memory, so the count is capped
+    doc = _doc(command="mean-field", input={"mode": 30, "alpha": 1.0},
+               mean_field={"t_stop": 1.0, "samples": 1_000_000})
+    times = _parse(doc).points[0].mean_field.times
+    assert len(times) == 1_000_000
+    assert times[0] == 0.0 and times[-1] == pytest.approx(1.0)
 
 
 def test_error_paths_in_nested_arms():

@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from eomsim.engine import port_entanglement, preset, two_photon_output
+from eomsim.engine import PRESETS, port_entanglement, preset, two_photon_output
 from eomsim.phase_mod import PMConfig, Truncation, pm_scatter_row
-from oracles import schmidt_dense, two_photon_dc_closed_form
+from oracles import pair_table_accumulated, schmidt_dense, two_photon_dc_closed_form
 
 DPHI_GRID = [0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2]
 
@@ -58,9 +59,9 @@ def test_general_path_matches_closed_form(dphi):
     # the closed form is driven by the common-arm scattering row
     row = pm_scatter_row(60, cfg.pm2)
     want = two_photon_dc_closed_form(dphi, row)
-    keys = set(state.amps) | set(want.amps)
+    keys = set(state.amps) | set(want)
     for key in keys:
-        assert state.amps.get(key, 0.0) == pytest.approx(want.amps.get(key, 0.0), abs=1e-12)
+        assert state.amps.get(key, 0.0) == pytest.approx(want.get(key, 0.0), abs=1e-12)
 
 
 def test_pair_coalescence_removes_split_outcomes():
@@ -135,6 +136,37 @@ def test_block_spectrum_matches_dense_svd(name, tones, bias, n0, model, m):
     dense = schmidt_dense(state)
     assert len(blocks) == len(dense)
     assert np.max(np.abs(blocks - dense)) <= 1e-14
+
+
+@pytest.mark.parametrize("name, tones, bias, n0, model, m", _schmidt_grid())
+def test_pair_table_matches_accumulated_products(name, tones, bias, n0, model, m):
+    state = two_photon_output(_pair_device(name, bias, m, tones), n0, model=model)
+    want = sorted(pair_table_accumulated(state.first, state.second).items())
+    assert list(state.amps.items()) == want
+    # == treats -0.0 and 0.0 alike; repr tells them apart
+    assert [repr(c) for c in state.amps.values()] == [repr(c) for _, c in want]
+
+
+def test_spectrum_does_not_build_the_pair_table():
+    state = two_photon_output(_pair_device("dc_dual", 0.3, 2.0, (2, 3)), 200)
+    svs = port_entanglement(state)
+    assert len(svs) == 4
+    assert "amps" not in vars(state)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    name=st.sampled_from(PRESETS),
+    tones=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    bias=st.floats(-math.pi, math.pi),
+    m=st.floats(1e-3, 5.0),
+    n0=st.integers(1, 300),
+)
+def test_schmidt_rank_and_weight_from_one_photon_outputs(name, tones, bias, m, n0):
+    state = two_photon_output(_pair_device(name, bias, m, tones), n0)
+    svs = port_entanglement(state)
+    assert 1 <= len(svs) <= 4
+    assert np.sum(svs**2) == pytest.approx(state.norm_sq(), abs=1e-12)
 
 
 @pytest.mark.parametrize("tones", [(1, 1), (2, 3)])
