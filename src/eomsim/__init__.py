@@ -14,7 +14,6 @@ from .engine import (
     TwoPhotonState,
     TwoPortSpectrum,
     coherent_output,
-    composition_oracle,
     dsb_settings,
     mean_field,
     port_entanglement,
@@ -33,18 +32,15 @@ from .phase_mod import (
     PMConfig,
     ToneDrive,
     Truncation,
-    pm_generator_oracle,
     pm_multitone_row,
     pm_scatter_row,
     retained_halfwidth,
 )
-from .special import bessel_j_array, unitary_exp
+from .special import bessel_j_array
 from .splitters import (
     SplitterCoeffs,
     SplitterSpec,
     splitter_coeffs,
-    splitter_generator_oracle,
-    verify_reciprocity,
 )
 
 __version__ = "0.1.0"
@@ -64,12 +60,10 @@ __all__ = [
     "TwoPortSpectrum",
     "bessel_j_array",
     "coherent_output",
-    "composition_oracle",
     "decompose_mode",
     "dsb_settings",
     "mean_field",
     "mode_omega",
-    "pm_generator_oracle",
     "pm_multitone_row",
     "pm_scatter_row",
     "port_entanglement",
@@ -77,10 +71,7 @@ __all__ = [
     "retained_halfwidth",
     "single_photon_output",
     "splitter_coeffs",
-    "splitter_generator_oracle",
     "ssb_settings",
     "two_photon_output",
-    "unitary_exp",
-    "verify_reciprocity",
     "__version__",
 ]

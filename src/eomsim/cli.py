@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from . import verify as verify_mod
@@ -282,8 +283,8 @@ def _cmd_verify(args) -> int:
         scale = rc.tolerance_scale
         fmt = rc.fmt
     if args.tolerance_scale is not None:
-        if args.tolerance_scale <= 0.0:
-            print("error: --tolerance-scale must be positive", file=sys.stderr)
+        if not 0.0 < args.tolerance_scale < math.inf:
+            print("error: --tolerance-scale must be positive and finite", file=sys.stderr)
             return 1
         scale = args.tolerance_scale
     if args.format is not None:

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .engine import EOMConfig, dsb_settings, preset, ssb_settings, PRESETS
+from .lattice import mode_omega
 from .phase_mod import MultitonePMConfig, PMConfig, ToneDrive, Truncation
 from .splitters import SplitterSpec
 
@@ -254,10 +255,19 @@ def _resolve_point(doc: dict, command: str, prefix: str) -> RunPoint:
         if nu <= 0.0 or length <= 0.0:
             raise ConfigError(f"{prefix}mean_field: nu and length must be positive")
         fs = _get_num(mfo, "field_scale", prefix + "mean_field", default=1.0)
+        try:
+            omega = mode_omega(n0, nu, length)
+        except OverflowError:  # the mode number itself does not fit a float
+            omega = math.inf
+        if not math.isfinite(omega):
+            raise ConfigError(f"{prefix}input.mode: mean-field needs a finite carrier frequency "
+                              "2*pi*mode*nu/length")
         if ns == 1:
             times = (float(t0),)
         else:
             step = (t1 - t0) / (ns - 1)
+            if not math.isfinite(step):
+                raise ConfigError(f"{prefix}mean_field.t_stop: t_stop - t_start must be finite")
             times = tuple(t0 + k * step for k in range(ns))
         mf = MeanFieldParams(port=mf_port, times=times, nu=nu, length=length, field_scale=fs)
     elif "mean_field" in doc:
@@ -336,14 +346,13 @@ def _parse_alpha(inp: dict, path: str) -> complex:
     if "alpha" not in inp:
         raise ConfigError(f"{path}.alpha: required for coherent input")
     raw = inp["alpha"]
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return complex(float(raw), 0.0)
-    if (
-        isinstance(raw, list) and len(raw) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw)
-    ):
-        return complex(float(raw[0]), float(raw[1]))
-    raise ConfigError(f"{path}.alpha: must be a number or [re, im] pair")
+    parts = raw if isinstance(raw, list) and len(raw) == 2 else [raw, 0.0]
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in parts):
+        raise ConfigError(f"{path}.alpha: must be a number or [re, im] pair")
+    real, imag = (_finite(v, f"{path}.alpha") for v in parts)
+    if not math.isfinite(real * real + imag * imag):
+        raise ConfigError(f"{path}.alpha: |alpha|^2 must be finite")
+    return complex(real, imag)
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -400,9 +409,17 @@ def _get_num(doc: dict, key: str, path: str, required: bool = False, default: fl
     val = doc[key]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{where}: must be a number")
+    return _finite(val, where)
+
+
+def _finite(val: int | float, where: str) -> float:
+    try:
+        val = float(val)
+    except OverflowError:  # a JSON integer beyond the float range
+        val = math.inf
     if not math.isfinite(val):
         raise ConfigError(f"{where}: must be finite")
-    return float(val)
+    return val
 
 
 def _get_int(doc: dict, key: str, path: str, required: bool = False, default: int | None = None):

@@ -12,10 +12,9 @@ and entering port 2 as
     port 2: r_i r'_o C_q + t_i t_o Cbar_q,
 
 with C (Cbar) the arm-1 (arm-2) scatter rows.  Coherent states displace with
-alpha times the same weights.  Everything here is closed-form; the
-`composition_oracle` rebuilds the same outputs from raw matrix products of
-the splitter tables and the arm generator exponentials, sharing none of the
-closed-form code.
+alpha times the same weights.  Everything here is closed-form; `verify`
+rebuilds the same outputs from raw matrix products of the splitter tables
+and the arm generator exponentials, sharing none of the closed-form code.
 """
 
 from __future__ import annotations
@@ -26,15 +25,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattice import decompose_mode, mode_omega, TWO_PI
+from .lattice import mode_omega, TWO_PI
 from .phase_mod import (
     MultitonePMConfig,
     PMConfig,
     Truncation,
-    pm_generator_oracle,
     pm_multitone_row,
     pm_scatter_row,
-    retained_halfwidth,
 )
 from .splitters import SplitterCoeffs, SplitterSpec, splitter_coeffs
 
@@ -329,48 +326,6 @@ def mean_field(
     return MeanFieldSeries(times=tlist, values=tuple(values), terms=terms)
 
 
-def composition_oracle(
-    cfg: EOMConfig, input_port: int, n0: int, n_max: int | None = None
-) -> TwoPortSpectrum:
-    """Brute-force reference: raw matrix product of the three stages.
-
-    Applies the input splitter table, the arm generator exponentials (full
-    lattice matrices), and the output table to the basis vector of (port,
-    n0).  Shares no code with the closed-form path beyond the splitter
-    tables themselves; disagreement beyond truncation error means the closed
-    forms are wrong.  `n_max` defaults to a lattice comfortably larger than
-    every occupied ladder.
-    """
-    _check_port(input_port)
-    for name in ("pm1", "pm2"):
-        if isinstance(getattr(cfg, name), MultitonePMConfig):
-            raise ValueError("composition oracle requires exact single-tone or undriven arms")
-    if n_max is None:
-        n_max = _auto_lattice(cfg, n0)
-    if n_max < n0:
-        raise ValueError(f"lattice size {n_max} cannot hold carrier {n0}")
-    mat_in = cfg.coeffs_in().as_matrix()
-    mat_out = cfg.coeffs_out().as_matrix()
-    rows = []
-    for arm in (cfg.pm1, cfg.pm2):
-        if arm is None:
-            e = np.zeros(n_max, dtype=np.complex128)
-            e[n0 - 1] = 1.0
-            rows.append(e)
-        else:
-            rows.append(pm_generator_oracle(arm, n_max)[n0 - 1, :])
-    w_arm1 = mat_in[input_port - 1, 0]
-    w_arm2 = mat_in[input_port - 1, 1]
-    arm1 = w_arm1 * rows[0]
-    arm2 = w_arm2 * rows[1]
-    port1_vec = mat_out[0, 0] * arm1 + mat_out[1, 0] * arm2
-    port2_vec = mat_out[0, 1] * arm1 + mat_out[1, 1] * arm2
-    return TwoPortSpectrum(
-        port1={i + 1: complex(a) for i, a in enumerate(port1_vec) if a != 0.0},
-        port2={i + 1: complex(a) for i, a in enumerate(port2_vec) if a != 0.0},
-    )
-
-
 def _resolve(sp: SplitterSpec | SplitterCoeffs) -> SplitterCoeffs:
     return sp if isinstance(sp, SplitterCoeffs) else splitter_coeffs(sp)
 
@@ -423,12 +378,3 @@ def _port_factors(x: dict[int, complex], y: dict[int, complex]) -> tuple[np.ndar
     pairs = len(x) * len(y) - math.comb(len(x.keys() & y.keys()), 2)
     return u, math.sqrt(g[0, 0].real * g[1, 1].real + abs(g[0, 1]) ** 2), pairs
 
-
-def _auto_lattice(cfg: EOMConfig, n0: int) -> int:
-    top = n0 + 8
-    for arm in (cfg.pm1, cfg.pm2):
-        if isinstance(arm, PMConfig):
-            dec = decompose_mode(n0, arm.tone)
-            hw = retained_halfwidth(arm.m, Truncation())
-            top = max(top, (dec.q0 + hw + 12) * arm.tone)
-    return top

@@ -12,9 +12,9 @@ modulation index.  The second Bessel term is the reflection of the ladder off
 the bottom of the positive-frequency lattice; dropping it gives the optical
 limit, valid when the carrier sits many rungs up (q0 >> m).
 
-Two independent routes are provided: the closed form above, and the matrix
-exponential of the lattice hopping generator (`pm_generator_oracle`), which
-shares no code with the Bessel evaluation.
+This module evaluates only the closed form; `verify` cross-checks it
+against the exponential of the lattice hopping generator, which shares no
+code with the Bessel evaluation.
 """
 
 from __future__ import annotations
@@ -23,10 +23,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .lattice import decompose_mode
-from .special import bessel_j_array, unitary_exp
+from .special import bessel_j_array
 
 # j^s for s mod 4 = 0, 1, 2, 3; kept exact instead of going through exp()
 _QUARTER_TURNS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
@@ -207,26 +205,6 @@ def pm_scatter_row(
         if amp != 0.0:
             row[q * dec.tone - dec.r0] = amp
     return row
-
-
-def pm_generator_oracle(cfg: PMConfig, n_max: int) -> np.ndarray:
-    """Full one-photon scattering matrix from the lattice hopping generator.
-
-    Builds the Hermitian generator with bias phi_b on the diagonal and
-    hopping chi = exp(j theta_rf) m / 2 between modes n and n + N, then
-    exponentiates.  Row i (0-based) holds the output amplitudes for input
-    mode i + 1, matching pm_scatter_row away from the top truncation edge.
-    This route never touches a Bessel function.
-    """
-    if n_max < 1:
-        raise ValueError(f"lattice size must be >= 1, got {n_max!r}")
-    chi = 0.5 * cfg.m * cmath.exp(1j * cfg.theta_rf)
-    gen = np.zeros((n_max, n_max), dtype=np.complex128)
-    np.fill_diagonal(gen, cfg.phi_b)
-    for i in range(n_max - cfg.tone):
-        gen[i, i + cfg.tone] = chi
-        gen[i + cfg.tone, i] = chi.conjugate()
-    return unitary_exp(gen)
 
 
 def pm_multitone_row(n0: int, cfg: MultitonePMConfig) -> dict[int, complex]:

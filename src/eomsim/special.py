@@ -1,9 +1,8 @@
-"""Numerical kernels: integer-order Bessel J and a unitary matrix exponential.
+"""Numerical kernel of the closed-form path: integer-order Bessel J.
 
-`bessel_j_array` evaluates J_0..J_s by Miller's backward recurrence;
-`unitary_exp` exponentiates a Hermitian generator through its
-eigendecomposition.  The two share no code, so the closed-form scattering
-route and the generator-exponential route stay independent of each other.
+`bessel_j_array` evaluates J_0..J_s by Miller's backward recurrence.  The
+generator-exponential cross-check lives in `verify` and shares no code with
+it.
 """
 
 from __future__ import annotations
@@ -62,25 +61,3 @@ def bessel_j_array(s_max: int, m: float) -> np.ndarray:
             out /= _RESCALE
     return out / norm
 
-
-def unitary_exp(gen: np.ndarray) -> np.ndarray:
-    """exp(1j*G) for a Hermitian matrix G, from one eigendecomposition.
-
-    G = V diag(w) V^H with V unitary (LAPACK eigh), so exp(1j*G) =
-    V diag(exp(1j*w)) V^H.  A Hermitian eigenbasis is perfectly conditioned,
-    which makes this the stable route (Moler & Van Loan, SIAM Rev. 45, 2003).
-    eigh reads only one triangle, hence the explicit Hermitian check.
-    """
-    g = np.asarray(gen, dtype=np.complex128)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise ValueError(f"generator must be a square matrix, got shape {g.shape}")
-    n = g.shape[0]
-    if n == 0:
-        raise ValueError("generator must have dimension >= 1")
-    scale = max(1.0, float(np.max(np.abs(g))))
-    defect = float(np.max(np.abs(g - g.conj().T)))
-    if defect > 1e-14 * scale:
-        raise ValueError(f"generator is not Hermitian (defect {defect:.3e})")
-
-    w, v = np.linalg.eigh(g)
-    return (v * np.exp(1j * w)) @ v.conj().T

@@ -7,12 +7,18 @@ battery and is what ``eomsim verify`` calls; the acceptance test suite reuses
 the individual check functions so the command line and the tests cannot
 drift apart.
 
+This module also owns the generator route, the battery's independent
+reference: the splitter tables, the phase-modulator rows and the whole
+device rebuilt from exponentials of their Hermitian generators
+(``unitary_exp``), with no Bessel function and none of the closed-form code.
+
 Tolerances may be loosened or tightened globally through ``tolerance_scale``;
 the shipped defaults are what the package is expected to meet.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -20,8 +26,8 @@ import numpy as np
 
 from .engine import (
     EOMConfig,
+    TwoPortSpectrum,
     coherent_output,
-    composition_oracle,
     dsb_settings,
     mean_field,
     port_entanglement,
@@ -35,16 +41,126 @@ from .phase_mod import (
     MultitonePMConfig,
     PMConfig,
     ToneDrive,
-    pm_generator_oracle,
+    Truncation,
     pm_multitone_row,
     pm_scatter_row,
+    retained_halfwidth,
 )
-from .splitters import (
-    SplitterSpec,
-    splitter_coeffs,
-    splitter_generator_oracle,
-    verify_reciprocity,
-)
+from .splitters import SplitterCoeffs, SplitterSpec, splitter_coeffs
+
+
+def unitary_exp(gen: np.ndarray) -> np.ndarray:
+    """exp(1j*G) for a Hermitian matrix G, from one eigendecomposition.
+
+    G = V diag(w) V^H with V unitary (LAPACK eigh), so exp(1j*G) =
+    V diag(exp(1j*w)) V^H.  A Hermitian eigenbasis is perfectly conditioned,
+    which makes this the stable route (Moler & Van Loan, SIAM Rev. 45, 2003).
+    eigh reads only one triangle, hence the explicit Hermitian check.
+    """
+    g = np.asarray(gen, dtype=np.complex128)
+    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+        raise ValueError(f"generator must be a square matrix, got shape {g.shape}")
+    n = g.shape[0]
+    if n == 0:
+        raise ValueError("generator must have dimension >= 1")
+    scale = max(1.0, float(np.max(np.abs(g))))
+    defect = float(np.max(np.abs(g - g.conj().T)))
+    if defect > 1e-14 * scale:
+        raise ValueError(f"generator is not Hermitian (defect {defect:.3e})")
+
+    w, v = np.linalg.eigh(g)
+    return (v * np.exp(1j * w)) @ v.conj().T
+
+
+def splitter_generator_oracle(spec: SplitterSpec) -> np.ndarray:
+    """Coefficient table built from the exchange-generator exponential.
+
+    Independent route to the same 2x2 table: exponentiate the one-photon
+    exchange generator instead of writing the trig closed form.  The bulk
+    splitter and directional coupler use the symmetric exchange generator at
+    mixing angle theta (theta = 2*atan2(sqrt(k), sqrt(1-k)) for the coupler,
+    which unlike 2*asin(sqrt(k)) stays accurate when k approaches 1); the
+    Y-branch uses the antisymmetric one.  The generator is written in the
+    same row-per-input convention as :meth:`SplitterCoeffs.as_matrix` (the
+    adjoint action on creation operators, i.e. the transpose of the
+    one-photon-subspace matrix); only the Y-branch is sensitive to the
+    distinction.
+    """
+    if spec.kind == "bulk":
+        theta = spec.theta_split
+    else:
+        theta = 2.0 * math.atan2(math.sqrt(spec.k), math.sqrt(1.0 - spec.k))
+    if spec.kind == "yb":
+        gen = np.array([[0.0, -0.5j * theta], [0.5j * theta, 0.0]], dtype=np.complex128)
+    else:
+        gen = np.array([[0.0, 0.5 * theta], [0.5 * theta, 0.0]], dtype=np.complex128)
+    mat = unitary_exp(gen)
+    return mat.T.copy() if spec.reverse else mat
+
+
+def pm_generator_oracle(cfg: PMConfig, n0: int, n_max: int) -> dict[int, complex]:
+    """Row n0 of the one-photon scattering matrix on the lattice 1..n_max.
+
+    The lattice hopping generator has bias phi_b on the diagonal and hopping
+    chi = exp(j theta_rf) m / 2 from mode n to n + N, so it couples n0 only
+    to its chain n0 + kN (integer k, 1 <= mode <= n_max): a tridiagonal
+    matrix of about n_max/N modes whose first mode sits at the lattice wall.
+    Its exponential's row for n0 gives {mode: amplitude} over the chain,
+    matching pm_scatter_row away from the top truncation edge.  This route
+    never touches a Bessel function.
+    """
+    if not 1 <= n0 <= n_max:
+        raise ValueError(f"lattice of {n_max} modes cannot hold carrier {n0}")
+    modes = range((n0 - 1) % cfg.tone + 1, n_max + 1, cfg.tone)
+    hop = np.full(len(modes) - 1, 0.5 * cfg.m * cmath.exp(1j * cfg.theta_rf))
+    gen = np.diag(np.full(len(modes), cfg.phi_b, dtype=np.complex128))
+    gen += np.diag(hop, 1) + np.diag(hop.conj(), -1)
+    return dict(zip(modes, unitary_exp(gen)[modes.index(n0)].tolist()))
+
+
+def composition_oracle(cfg: EOMConfig, input_port: int, n0: int) -> TwoPortSpectrum:
+    """Brute-force reference: raw matrix product of the three stages.
+
+    Applies the input splitter table, the arm generator exponentials and the
+    output table to the basis vector of (port, n0), on a lattice comfortably
+    larger than every occupied ladder.  Shares no code with the closed-form
+    path beyond the splitter tables themselves; disagreement beyond
+    truncation error means the closed forms are wrong.
+    """
+    if input_port not in (1, 2):
+        raise ValueError(f"port must be 1 or 2, got {input_port!r}")
+    arms = (cfg.pm1, cfg.pm2)
+    if any(isinstance(arm, MultitonePMConfig) for arm in arms):
+        raise ValueError("composition oracle requires exact single-tone or undriven arms")
+    n_max = _auto_lattice(cfg, n0)
+    rows = [{n0: 1.0 + 0.0j} if arm is None else pm_generator_oracle(arm, n0, n_max) for arm in arms]
+    modes = sorted(rows[0].keys() | rows[1].keys())
+    arm_vecs = np.array([[row.get(n, 0.0) for n in modes] for row in rows], dtype=np.complex128)
+    mat_in = cfg.coeffs_in().as_matrix()
+    port_vecs = cfg.coeffs_out().as_matrix().T @ (mat_in[input_port - 1, :, None] * arm_vecs)
+    port1, port2 = (
+        {n: complex(a) for n, a in zip(modes, vec) if a != 0.0} for vec in port_vecs
+    )
+    return TwoPortSpectrum(port1=port1, port2=port2)
+
+
+def _auto_lattice(cfg: EOMConfig, n0: int) -> int:
+    top = n0 + 8
+    for arm in (cfg.pm1, cfg.pm2):
+        if isinstance(arm, PMConfig):
+            dec = decompose_mode(n0, arm.tone)
+            hw = retained_halfwidth(arm.m, Truncation())
+            top = max(top, (dec.q0 + hw + 12) * arm.tone)
+    return top
+
+
+def _reciprocity_defect(c: SplitterCoeffs) -> float:
+    """Worst of the two unit-row defects and the cross relation |conj(r) t' + r' conj(t)|."""
+    return max(
+        abs(abs(c.tp) ** 2 + abs(c.rp) ** 2 - 1.0),
+        abs(abs(c.t) ** 2 + abs(c.r) ** 2 - 1.0),
+        abs(c.r.conjugate() * c.tp + c.rp * c.t.conjugate()),
+    )
 
 
 @dataclass(frozen=True)
@@ -78,11 +194,11 @@ def check_splitter_laws(scale: float = 1.0) -> CheckResult:
         ]
         for spec in specs:
             coeffs = splitter_coeffs(spec)
-            report = verify_reciprocity(coeffs, tol=law_tol)
-            worst = max(worst, report.row_in_defect, report.row_out_defect, report.cross_defect)
-            if not report.passed:
+            defect = _reciprocity_defect(coeffs)
+            worst = max(worst, defect)
+            if defect > law_tol:
                 return _result(1, "splitter_laws", worst, law_tol,
-                               extra=f"violations {report.violations} at kind={spec.kind} k={k}")
+                               extra=f"reciprocity broken at kind={spec.kind} k={k}")
             gen_mat = splitter_generator_oracle(spec)
             table = coeffs.as_matrix()
             diff = float(np.max(np.abs(gen_mat - table)))
@@ -127,12 +243,12 @@ def check_generator_agreement(scale: float = 1.0) -> CheckResult:
     worst = 0.0
     for m, tone, n0, n_max in cases:
         cfg = PMConfig(phi_b=0.4, m=m, theta_rf=1.1, tone=tone)
-        mat = pm_generator_oracle(cfg, n_max)
+        oracle = pm_generator_oracle(cfg, n0, n_max)
         dec = decompose_mode(n0, tone)
         row = pm_scatter_row(n0, cfg)
         for q in range(max(1, dec.q0 - 10), dec.q0 + 11):
             n = q * tone - dec.r0
-            worst = max(worst, abs(mat[n0 - 1, n - 1] - row.get(n, 0.0)))
+            worst = max(worst, abs(oracle[n] - row.get(n, 0.0)))
     return _result(3, "generator_agreement", worst, tol)
 
 

@@ -3,7 +3,10 @@
 The Bessel references are stdlib-only and the matrix-exponential reference
 uses only numpy arithmetic.  Each deliberately avoids the algorithm used
 inside the package (backward recurrence, eigendecomposition), so an agreement
-between the two is meaningful.  The closed forms below (sideband rungs, a
+between the two is meaningful.  `pm_generator_full` and `composition_full`
+exponentiate the hopping generator over the whole lattice 1..n_max, every
+ladder chain at once, as the reference for the one-chain generator route in
+`eomsim.verify`.  The closed forms below (sideband rungs, a
 coherent splitter, the single-drive Y-branch, the coupler photon pair) are
 written out as explicit expressions rather than calls into the general
 device path, `pair_table_accumulated` sums the pair table product by product,
@@ -11,12 +14,14 @@ and `schmidt_dense` decomposes the full port coefficient matrix that
 `port_entanglement` reads off the two one-photon outputs.
 """
 
+import cmath
 import math
 
 import numpy as np
 
 from eomsim.engine import TwoPhotonState, TwoPortSpectrum
 from eomsim.phase_mod import PMConfig, pm_scatter_row
+from eomsim.verify import unitary_exp
 
 
 def bessel_series(s: int, m: float, terms: int = 60) -> float:
@@ -83,6 +88,47 @@ def unitary_exp_taylor(gen: np.ndarray, terms: int = 30) -> np.ndarray:
         term = term @ a / k
         total += term
     return total
+
+
+def pm_generator_full(cfg: PMConfig, n_max: int) -> np.ndarray:
+    """Full one-photon scattering matrix from the lattice hopping generator.
+
+    Builds the n_max x n_max Hermitian generator with bias phi_b on the
+    diagonal and hopping chi = exp(j theta_rf) m / 2 between modes n and
+    n + N, then exponentiates.  Row i (0-based) holds the output amplitudes
+    for input mode i + 1.
+    """
+    chi = 0.5 * cfg.m * cmath.exp(1j * cfg.theta_rf)
+    gen = np.zeros((n_max, n_max), dtype=np.complex128)
+    np.fill_diagonal(gen, cfg.phi_b)
+    for i in range(n_max - cfg.tone):
+        gen[i, i + cfg.tone] = chi
+        gen[i + cfg.tone, i] = chi.conjugate()
+    return unitary_exp(gen)
+
+
+def composition_full(cfg, input_port: int, n0: int, n_max: int) -> np.ndarray:
+    """Port-1 and port-2 amplitudes over modes 1..n_max, shape (2, n_max).
+
+    Row n0 of each arm's `pm_generator_full` matrix (the basis vector of n0
+    for an undriven arm), weighted by the input table's row for the input
+    port and mixed by the output table, entry by entry.
+    """
+    arms = []
+    for arm in (cfg.pm1, cfg.pm2):
+        if arm is None:
+            row = np.zeros(n_max, dtype=np.complex128)
+            row[n0 - 1] = 1.0
+        else:
+            row = pm_generator_full(arm, n_max)[n0 - 1]
+        arms.append(row)
+    w_in = cfg.coeffs_in().as_matrix()[input_port - 1]
+    mat_out = cfg.coeffs_out().as_matrix()
+    arm1, arm2 = w_in[0] * arms[0], w_in[1] * arms[1]
+    return np.array([
+        mat_out[0, 0] * arm1 + mat_out[1, 0] * arm2,
+        mat_out[0, 1] * arm1 + mat_out[1, 1] * arm2,
+    ])
 
 
 def sideband_mode(q: int, tone: int, r0: int) -> int:

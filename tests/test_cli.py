@@ -113,10 +113,15 @@ def test_verify_json_report(capsys):
     assert [c["index"] for c in doc["checks"]] == list(range(1, 11))
 
 
-def test_verify_fails_under_absurd_tightening(tmp_path):
+def test_verify_fails_under_absurd_tightening(tmp_path, capsys):
     out = tmp_path / "report.csv"
     assert main(["verify", "--tolerance-scale", "1e-30", "--out", str(out)]) == 1
-    assert main(["verify", "--tolerance-scale", "-1"]) == 1
+    # a scale that is not positive and finite is refused before any check runs
+    for bad in ("-1", "0", "inf", "nan"):
+        rejected = tmp_path / f"rejected_{bad}.csv"
+        assert main(["verify", "--tolerance-scale", bad, "--out", str(rejected)]) == 1
+        assert "--tolerance-scale" in capsys.readouterr().err
+        assert not rejected.exists()
 
 
 def test_verify_config_document(capsys):

@@ -151,6 +151,20 @@ def test_descriptions_are_ignored_everywhere():
         (lambda d: d.update(command="mean-field", input={"mode": 30, "alpha": 1.0},
                             mean_field={"t_stop": 1.0, "samples": 1_000_001}),
          "mean_field.samples"),
+        (lambda d: d.update(command="mean-field", input={"mode": 10**310, "alpha": 1.0},
+                            mean_field={"t_stop": 1.0, "samples": 4}),
+         "input.mode"),
+        (lambda d: d.update(command="mean-field", input={"mode": 30, "alpha": 1.0},
+                            mean_field={"t_stop": 1.0, "samples": 4, "nu": 1e300, "length": 1e-300}),
+         "input.mode"),
+        (lambda d: d.update(command="mean-field", input={"mode": 30, "alpha": 1.0},
+                            mean_field={"t_start": -1e308, "t_stop": 1e308, "samples": 4}),
+         "mean_field.t_stop"),
+        (lambda d: d.update(command="coherent", input={"mode": 100, "alpha": [1e308, 1e308]}),
+         "input.alpha"),
+        (lambda d: d.update(command="coherent", input={"mode": 100, "alpha": 10**400}),
+         "input.alpha"),
+        (lambda d: d["drive"].update(m=10**400), "drive.m"),
         (lambda d: d.update(output={"format": "yaml"}), "output.format"),
         (lambda d: d.update(sweep=[]), "sweep"),
         (lambda d: d.update(tolerance_scale=2.0), "tolerance_scale"),

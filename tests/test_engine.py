@@ -9,7 +9,6 @@ from eomsim.engine import (
     EOMConfig,
     PRESETS,
     coherent_output,
-    composition_oracle,
     dsb_settings,
     mean_field,
     preset,
@@ -19,7 +18,8 @@ from eomsim.engine import (
 from eomsim.lattice import decompose_mode, mode_omega
 from eomsim.phase_mod import PMConfig, pm_scatter_row
 from eomsim.splitters import SplitterSpec
-from oracles import single_drive_output
+from eomsim.verify import _auto_lattice, composition_oracle
+from oracles import composition_full, single_drive_output
 
 
 def _order(mode, n0, tone):
@@ -146,6 +146,29 @@ def test_mixed_tone_arms_interleave_ladders():
     oracle = composition_oracle(cfg, 1, 60)
     for mode, amp in out.port1.items():
         assert amp == pytest.approx(oracle.port1.get(mode, 0.0), abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "tone1, tone2, n0, m",
+    [(2, 5, 60, 0.8), (1, 7, 3, 2.0), (7, 1, 5, 50.0), (3, 7, 40, 50.0), (7, 7, 2, 12.0)],
+)
+@pytest.mark.parametrize("port", [1, 2])
+def test_composition_oracle_matches_full_lattice(tone1, tone2, n0, m, port):
+    # each arm exponentiates only the carrier's own chain; the reference
+    # exponentiates the whole lattice on the same modes 1..n_max
+    cfg = EOMConfig(
+        splitter_in=SplitterSpec(kind="dc", k=0.3),
+        splitter_out=SplitterSpec(kind="yb", k=0.6, reverse=True),
+        pm1=PMConfig(phi_b=0.7, m=m, theta_rf=0.4, tone=tone1),
+        pm2=PMConfig(phi_b=-0.2, m=0.5 * m, theta_rf=-1.3, tone=tone2),
+    )
+    n_max = _auto_lattice(cfg, n0)
+    full = composition_full(cfg, port, n0, n_max)
+    got = composition_oracle(cfg, port, n0)
+    for idx, row in enumerate((got.port1, got.port2)):
+        assert set(row) <= set(range(1, n_max + 1))
+        worst = max(abs(row.get(mode, 0.0) - full[idx, mode - 1]) for mode in range(1, n_max + 1))
+        assert worst < 1e-13
 
 
 def test_single_drive_closed_form_matches_general_path():

@@ -15,14 +15,14 @@ from eomsim.phase_mod import (
     Truncation,
     ladder_phase,
     phase_factor,
-    pm_generator_oracle,
     pm_multitone_row,
     pm_scatter_row,
     retained_halfwidth,
 )
 from eomsim.special import bessel_j_array
+from eomsim.verify import pm_generator_oracle
 
-from oracles import bessel_reference
+from oracles import bessel_reference, pm_generator_full
 
 # Scattering amplitudes frozen from the defining expression evaluated at
 # 40-digit precision: prefactor exp(j phi_b) (j exp(j theta))^(q-q0) times
@@ -130,15 +130,41 @@ def test_scatter_row_matches_generator_route(m, tone, n0):
     cfg = PMConfig(phi_b=0.9, m=m, theta_rf=1.7, tone=tone)
     hw = retained_halfwidth(m, Truncation())
     n_max = (decompose_mode(n0, tone).q0 + hw + 12) * tone
-    mat = pm_generator_oracle(cfg, n_max)
+    oracle = pm_generator_oracle(cfg, n0, n_max)
     row = pm_scatter_row(n0, cfg)
     for mode, amp in row.items():
-        assert mat[n0 - 1, mode - 1] == pytest.approx(amp, abs=1e-10)
+        assert oracle[mode] == pytest.approx(amp, abs=1e-10)
     # and nothing sizable was dropped
     kept = set(row)
     for mode in range(1, n_max + 1):
         if mode not in kept and (mode - n0) % tone == 0:
-            assert abs(mat[n0 - 1, mode - 1]) < 1e-11
+            assert abs(oracle[mode]) < 1e-11
+
+
+@pytest.mark.parametrize(
+    "tone, n0",
+    [(1, 1), (1, 2), (1, 40), (2, 1), (3, 2), (3, 3), (3, 31), (7, 3), (7, 7), (7, 50)],
+)
+@pytest.mark.parametrize("m", [0.4, 7.0, 50.0])
+def test_generator_chain_row_matches_full_lattice(tone, n0, m):
+    # the hopping generator couples n0 only to n0 + kN, so the row from the
+    # carrier's chain must equal row n0 of the full-lattice exponential,
+    # including carriers below one tone, where the chain starts at n0
+    cfg = PMConfig(phi_b=0.4, m=m, theta_rf=1.1, tone=tone)
+    n_max = (decompose_mode(n0, tone).q0 + retained_halfwidth(m, Truncation()) + 12) * tone
+    full = pm_generator_full(cfg, n_max)[n0 - 1]
+    chain = pm_generator_oracle(cfg, n0, n_max)
+    assert min(chain) == (n0 - 1) % tone + 1
+    assert set(chain) == set(range(min(chain), n_max + 1, tone))
+    assert max(abs(chain.get(mode, 0.0) - full[mode - 1]) for mode in range(1, n_max + 1)) < 1e-13
+
+
+def test_generator_chain_rejects_carrier_off_the_lattice():
+    cfg = PMConfig(phi_b=0.0, m=1.0, theta_rf=0.0, tone=2)
+    with pytest.raises(ValueError):
+        pm_generator_oracle(cfg, 11, 10)
+    with pytest.raises(ValueError):
+        pm_generator_oracle(cfg, 0, 10)
 
 
 def _full_array_row(n0, cfg, tr, model):

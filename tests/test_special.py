@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eomsim.special import bessel_j_array, unitary_exp
+from eomsim.special import bessel_j_array
+from eomsim.verify import unitary_exp
 
 from oracles import bessel_integral, bessel_reference, bessel_series, unitary_exp_taylor
 
@@ -136,7 +137,7 @@ def test_unitary_exp_against_taylor_series():
 
 @pytest.mark.parametrize("dim", [357, 512])
 def test_unitary_exp_large_lattice_generator(dim):
-    # the shape pm_generator_oracle builds: bias on the diagonal, hopping
+    # the full-lattice hopping generator: bias on the diagonal, hopping
     # m/2 e^{j theta} between modes n and n + N
     m, theta, phi_b, tone = 50.0, 0.7, 0.4, 2
     chi = 0.5 * m * np.exp(1j * theta)

@@ -5,13 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from eomsim.splitters import (
-    SplitterCoeffs,
-    SplitterSpec,
-    splitter_coeffs,
-    splitter_generator_oracle,
-    verify_reciprocity,
-)
+from eomsim import verify
+from eomsim.splitters import SplitterCoeffs, SplitterSpec, splitter_coeffs
+from eomsim.verify import _reciprocity_defect, splitter_generator_oracle
 from oracles import coherent_through_splitter
 
 SQ = math.sqrt(0.5)
@@ -71,22 +67,25 @@ def test_reciprocity_holds_across_grid(kind, x):
         spec = SplitterSpec(kind="bulk", theta_split=2.0 * math.asin(math.sqrt(x)))
     else:
         spec = SplitterSpec(kind=kind, k=x)
-    report = verify_reciprocity(splitter_coeffs(spec))
-    assert report.passed
-    assert report.violations == ()
-    assert max(report.row_in_defect, report.row_out_defect, report.cross_defect) < 1e-14
+    assert _reciprocity_defect(splitter_coeffs(spec)) < 1e-14
 
 
-def test_reciprocity_flags_broken_tables():
-    lossy = SplitterCoeffs(t=0.9 + 0.0j, tp=0.9 + 0.0j, r=0.1j, rp=0.1j)
-    report = verify_reciprocity(lossy)
-    assert not report.passed
-    assert "input_row_norm" in report.violations
-    assert "output_row_norm" in report.violations
-
-    nonreciprocal = SplitterCoeffs(t=SQ + 0j, tp=SQ + 0j, r=SQ + 0j, rp=1j * SQ)
-    report = verify_reciprocity(nonreciprocal)
-    assert "cross_reciprocity" in report.violations
+@pytest.mark.parametrize(
+    "table",
+    [
+        # unit rows broken on both sides, cross relation intact
+        SplitterCoeffs(t=0.9 + 0.0j, tp=0.9 + 0.0j, r=0.1j, rp=0.1j),
+        # unit rows intact, cross relation broken
+        SplitterCoeffs(t=SQ + 0j, tp=SQ + 0j, r=SQ + 0j, rp=1j * SQ),
+    ],
+    ids=["lossy", "nonreciprocal"],
+)
+def test_splitter_laws_check_flags_broken_tables(monkeypatch, table):
+    monkeypatch.setattr(verify, "splitter_coeffs", lambda spec: table)
+    result = verify.check_splitter_laws()
+    assert not result.passed
+    assert "reciprocity broken" in result.detail
+    assert _reciprocity_defect(table) > 0.1
 
 
 @given(
@@ -123,3 +122,20 @@ def test_spec_validation():
         SplitterSpec(kind="yb")
     with pytest.raises(ValueError):
         SplitterSpec(kind="mmi", k=0.5)
+
+
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        (dict(kind="bulk", theta_split=math.nan), "theta_split"),
+        (dict(kind="bulk", theta_split=math.inf), "theta_split"),
+        (dict(kind="bulk", theta_split=True), "theta_split"),
+        (dict(kind="dc", k=math.nan), "k"),
+        (dict(kind="yb", k=True), "k"),
+        (dict(kind="yb", k=0.5, reverse="no"), "reverse"),
+        (dict(kind="dc", k=0.5, reverse=1), "reverse"),
+    ],
+)
+def test_spec_rejects_values_the_json_path_rejects(kwargs, field):
+    with pytest.raises(ValueError, match=rf"\b{field}\b"):
+        SplitterSpec(**kwargs)
