@@ -44,27 +44,14 @@ from .engine import (
 from .phase_mod import MultitonePMConfig, PMConfig
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _csv_field(text: str) -> str:
+    if any(ch in text for ch in ',"\n'):
+        text = '"' + text.replace('"', '""') + '"'
+    return text
 
 
-def _csv_field(val) -> str:
-    if val is None:
-        return ""
-    if isinstance(val, bool):
-        return "true" if val else "false"
-    if isinstance(val, float):
-        return _fmt(val)
-    s = str(val)
-    if any(ch in s for ch in ',"\n'):
-        s = '"' + s.replace('"', '""') + '"'
-    return s
-
-
-def _csv_table(header: tuple, rows: list) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_csv_field(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _csv(header: str, lines: list[str]) -> str:
+    return "\n".join([header, *lines]) + "\n"
 
 
 def _order_basis(eom) -> int | None:
@@ -82,10 +69,6 @@ def _order_basis(eom) -> int | None:
     if len(tones) == 1:
         return tones.pop()
     return None
-
-
-def _alpha_json(alpha: complex) -> list[float]:
-    return [alpha.real, alpha.imag]
 
 
 def _spectrum_point(pt: RunPoint, idx: int, coherent: bool) -> dict:
@@ -115,7 +98,7 @@ def _spectrum_point(pt: RunPoint, idx: int, coherent: bool) -> dict:
         "rows": rows,
     }
     if coherent:
-        out["alpha"] = _alpha_json(pt.alpha)
+        out["alpha"] = [pt.alpha.real, pt.alpha.imag]
     return out
 
 
@@ -154,7 +137,7 @@ def _mean_field_point(pt: RunPoint, idx: int) -> dict:
         "point": idx,
         "input_port": pt.input_port,
         "mode_in": pt.n0,
-        "alpha": _alpha_json(pt.alpha),
+        "alpha": [pt.alpha.real, pt.alpha.imag],
         "port": mf.port,
         "model": pt.model,
         "phasors": phasors,
@@ -175,38 +158,30 @@ def run_points(rc: RunConfig) -> list[dict]:
 
 
 def emit_run(command: str, points: list[dict], fmt: str) -> str:
+    """Render run points; each CSV record lists its JSON row's fields in order."""
     if fmt == "json":
         return json.dumps({"command": command, "points": points}, indent=2) + "\n"
+    lines = []
     if command in ("spectrum", "coherent"):
-        header = ("point", "port", "mode", "order", "re", "im", "prob")
-        rows = [
-            (p["point"], r["port"], r["mode"], r["order"], r["re"], r["im"], r["prob"])
-            for p in points
-            for r in p["rows"]
-        ]
-        return _csv_table(header, rows)
-    if command == "two-photon":
-        header = ("point", "record", "k1", "k2", "k3", "k4", "re", "im", "value")
-        rows = []
         for p in points:
-            for pr in p["pairs"]:
-                rows.append((p["point"], "pair", pr["port_a"], pr["mode_a"],
-                             pr["port_b"], pr["mode_b"], pr["re"], pr["im"], pr["prob"]))
-            for name, prob in p["sectors"].items():
-                rows.append((p["point"], "sector", name, None, None, None, None, None, prob))
-            for rank, sv in enumerate(p["singular_values"]):
-                rows.append((p["point"], "singular_value", rank, None, None, None, None, None, sv))
-            rows.append((p["point"], "norm", None, None, None, None, None, None, p["norm"]))
-        return _csv_table(header, rows)
-    header = ("point", "record", "mode", "omega", "t", "re", "im", "field")
-    rows = []
+            i = p["point"]
+            lines.extend("%d,%d,%d,%d,%.17g,%.17g,%.17g" % (i, *r.values()) for r in p["rows"])
+        return _csv("point,port,mode,order,re,im,prob", lines)
+    if command == "two-photon":
+        for p in points:
+            i = p["point"]
+            lines.extend("%d,pair,%d,%d,%d,%d,%.17g,%.17g,%.17g" % (i, *r.values())
+                         for r in p["pairs"])
+            lines.extend("%d,sector,%s,,,,,,%.17g" % (i, *kv) for kv in p["sectors"].items())
+            lines.extend("%d,singular_value,%d,,,,,,%.17g" % (i, *kv)
+                         for kv in enumerate(p["singular_values"]))
+            lines.append("%d,norm,,,,,,,%.17g" % (i, p["norm"]))
+        return _csv("point,record,k1,k2,k3,k4,re,im,value", lines)
     for p in points:
-        for ph in p["phasors"]:
-            rows.append((p["point"], "phasor", ph["mode"], ph["omega"], None,
-                         ph["re"], ph["im"], None))
-        for s in p["samples"]:
-            rows.append((p["point"], "sample", None, None, s["t"], None, None, s["field"]))
-    return _csv_table(header, rows)
+        i = p["point"]
+        lines.extend("%d,phasor,%d,%.17g,,%.17g,%.17g," % (i, *r.values()) for r in p["phasors"])
+        lines.extend("%d,sample,,,%.17g,,,%.17g" % (i, *r.values()) for r in p["samples"])
+    return _csv("point,record,mode,omega,t,re,im,field", lines)
 
 
 def emit_verify(results: list, scale: float, fmt: str) -> str:
@@ -218,9 +193,9 @@ def emit_verify(results: list, scale: float, fmt: str) -> str:
             "checks": [dataclasses.asdict(r) for r in results],
         }
         return json.dumps(doc, indent=2) + "\n"
-    header = ("index", "name", "passed", "detail")
-    rows = [(r.index, r.name, r.passed, r.detail) for r in results]
-    return _csv_table(header, rows)
+    lines = ["%d,%s,%s,%s" % (r.index, r.name, "true" if r.passed else "false", _csv_field(r.detail))
+             for r in results]
+    return _csv("index,name,passed,detail", lines)
 
 
 def _write_output(text: str, out_path: str | None) -> int:

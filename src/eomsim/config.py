@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass
 
 from .engine import EOMConfig, dsb_settings, preset, ssb_settings, PRESETS
-from .lattice import mode_omega
-from .phase_mod import MultitonePMConfig, PMConfig, ToneDrive, Truncation
+from .lattice import decompose_mode, mode_omega
+from .phase_mod import MultitonePMConfig, PMConfig, ToneDrive, Truncation, retained_halfwidth
 from .splitters import SplitterSpec
 
 COMMANDS = ("spectrum", "coherent", "two-photon", "mean-field", "verify")
@@ -255,13 +255,6 @@ def _resolve_point(doc: dict, command: str, prefix: str) -> RunPoint:
         if nu <= 0.0 or length <= 0.0:
             raise ConfigError(f"{prefix}mean_field: nu and length must be positive")
         fs = _get_num(mfo, "field_scale", prefix + "mean_field", default=1.0)
-        try:
-            omega = mode_omega(n0, nu, length)
-        except OverflowError:  # the mode number itself does not fit a float
-            omega = math.inf
-        if not math.isfinite(omega):
-            raise ConfigError(f"{prefix}input.mode: mean-field needs a finite carrier frequency "
-                              "2*pi*mode*nu/length")
         if ns == 1:
             times = (float(t0),)
         else:
@@ -269,6 +262,15 @@ def _resolve_point(doc: dict, command: str, prefix: str) -> RunPoint:
             if not math.isfinite(step):
                 raise ConfigError(f"{prefix}mean_field.t_stop: t_stop - t_start must be finite")
             times = tuple(t0 + k * step for k in range(ns))
+        top = max(_top_mode(arm, n0, truncation) for arm in (eom.pm1, eom.pm2))
+        try:
+            omega = mode_omega(top, nu, length)
+        except OverflowError:  # the mode number itself does not fit a float
+            omega = math.inf
+        if not (math.isfinite(omega) and math.isfinite(omega * max(abs(times[0]), abs(times[-1])))):
+            raise ConfigError(f"{prefix}input.mode, {prefix}mean_field.t_stop: mean-field needs "
+                              "a finite frequency 2*pi*mode*nu/length and phase omega*t for the "
+                              "top reachable mode at the largest |t|")
         mf = MeanFieldParams(port=mf_port, times=times, nu=nu, length=length, field_scale=fs)
     elif "mean_field" in doc:
         raise ConfigError(f"{prefix}mean_field: only applicable to the mean-field command")
@@ -277,6 +279,16 @@ def _resolve_point(doc: dict, command: str, prefix: str) -> RunPoint:
         eom=eom, input_port=port, n0=n0, alpha=alpha,
         truncation=truncation, model=model, mean_field=mf,
     )
+
+
+def _top_mode(arm, n0: int, truncation: Truncation) -> int:
+    """Highest lattice mode that an arm's scatter row reaches from carrier n0."""
+    if isinstance(arm, MultitonePMConfig):
+        return n0 + max((drive.tone for drive in arm.tones), default=0)
+    if arm is None or arm.m == 0.0:
+        return n0
+    dec = decompose_mode(n0, arm.tone)
+    return (dec.q0 + retained_halfwidth(arm.m, truncation)) * arm.tone - dec.r0
 
 
 def _parse_splitter(parent: dict, key: str, path: str) -> SplitterSpec:

@@ -10,8 +10,10 @@ ladder chain at once, as the reference for the one-chain generator route in
 coherent splitter, the single-drive Y-branch, the coupler photon pair) are
 written out as explicit expressions rather than calls into the general
 device path, `pair_table_accumulated` sums the pair table product by product,
-and `schmidt_dense` decomposes the full port coefficient matrix that
-`port_entanglement` reads off the two one-photon outputs.
+`schmidt_dense` decomposes the full port coefficient matrix that
+`port_entanglement` reads off the two one-photon outputs, and
+`mean_field_scalar` samples the classical field one time and one term at a
+time with stdlib trigonometry.
 """
 
 import cmath
@@ -19,7 +21,8 @@ import math
 
 import numpy as np
 
-from eomsim.engine import TwoPhotonState, TwoPortSpectrum
+from eomsim.engine import MeanFieldSeries, TwoPhotonState, TwoPortSpectrum
+from eomsim.lattice import TWO_PI, mode_omega
 from eomsim.phase_mod import PMConfig, pm_scatter_row
 from eomsim.verify import unitary_exp
 
@@ -273,3 +276,28 @@ def schmidt_dense(state: TwoPhotonState) -> np.ndarray:
         mat[i, j] += qamp
     svs = np.linalg.svd(mat, compute_uv=False)
     return svs[svs > svs[0] * max(mat.shape) * np.finfo(float).eps]
+
+
+def mean_field_scalar(
+    spectrum: TwoPortSpectrum,
+    port: int,
+    times,
+    nu: float = 1.0,
+    length: float = TWO_PI,
+    field_scale: float = 1.0,
+) -> MeanFieldSeries:
+    """`engine.mean_field` as a per-sample loop of complex scalar rotations."""
+    amps = spectrum.port(port)
+    terms = tuple(
+        (mode, mode_omega(mode, nu, length), 1j * field_scale * math.sqrt(mode_omega(mode, nu, length)) * amps[mode])
+        for mode in sorted(amps)
+    )
+    tlist = tuple(float(t) for t in times)
+    values = []
+    for t in tlist:
+        total = 0.0
+        for _mode, omega, phasor in terms:
+            rot = phasor * complex(math.cos(omega * t), -math.sin(omega * t))
+            total += 2.0 * rot.real
+        values.append(total)
+    return MeanFieldSeries(times=tlist, values=tuple(values), terms=terms)

@@ -81,15 +81,21 @@ def test_criterion_10_small_signal_and_mean_field(battery):
 def test_criterion_11_cli_contract(tmp_path, child_env):
     runs = [
         ("spectrum", "yb_dual_dsb.json", "yb_dual_dsb.csv"),
+        ("spectrum", "yb_dual_dsb.json", "yb_dual_dsb.json"),
         ("spectrum", "yb_dual_ssb.json", "yb_dual_ssb.json"),
+        ("spectrum", "yb_dual_ssb.json", "yb_dual_ssb.csv"),
         ("two-photon", "dc_two_photon.json", "dc_two_photon.csv"),
+        ("two-photon", "dc_two_photon.json", "dc_two_photon.json"),
         ("coherent", "hybrid_single.json", "hybrid_single.json"),
+        ("coherent", "hybrid_single.json", "hybrid_single.csv"),
         ("mean-field", "multitone_mean_field.json", "multitone_mean_field.csv"),
+        ("mean-field", "multitone_mean_field.json", "multitone_mean_field.json"),
     ]
     failures = []
     for command, config, golden in runs:
         out = tmp_path / golden
-        rc = main([command, "--config", str(CONFIGS / config), "--out", str(out)])
+        rc = main([command, "--config", str(CONFIGS / config), "--format", out.suffix[1:],
+                   "--out", str(out)])
         if rc != 0:
             failures.append(f"{config}: exit {rc}")
         elif out.read_bytes() != (GOLDEN / golden).read_bytes():

@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -5,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from eomsim import verify
 from eomsim.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -13,17 +15,23 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 GOLDEN_RUNS = [
     ("spectrum", "yb_dual_dsb.json", "yb_dual_dsb.csv"),
+    ("spectrum", "yb_dual_dsb.json", "yb_dual_dsb.json"),
     ("spectrum", "yb_dual_ssb.json", "yb_dual_ssb.json"),
+    ("spectrum", "yb_dual_ssb.json", "yb_dual_ssb.csv"),
     ("two-photon", "dc_two_photon.json", "dc_two_photon.csv"),
+    ("two-photon", "dc_two_photon.json", "dc_two_photon.json"),
     ("coherent", "hybrid_single.json", "hybrid_single.json"),
+    ("coherent", "hybrid_single.json", "hybrid_single.csv"),
     ("mean-field", "multitone_mean_field.json", "multitone_mean_field.csv"),
+    ("mean-field", "multitone_mean_field.json", "multitone_mean_field.json"),
 ]
 
 
 @pytest.mark.parametrize("command, config, golden", GOLDEN_RUNS)
 def test_outputs_match_goldens_byte_for_byte(command, config, golden, tmp_path):
     out = tmp_path / golden
-    rc = main([command, "--config", str(CONFIGS / config), "--out", str(out)])
+    rc = main([command, "--config", str(CONFIGS / config), "--format", out.suffix[1:],
+               "--out", str(out)])
     assert rc == 0
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
@@ -106,6 +114,16 @@ def test_verify_passes_and_reports(tmp_path):
     assert all(line.split(",")[2] == "true" for line in lines[1:])
 
 
+def test_verify_csv_quotes_free_text_detail(tmp_path, monkeypatch):
+    detail = 'worst "defect", 1e-3\nsecond line'
+    monkeypatch.setattr(verify, "CHECKS", (lambda scale: verify.CheckResult(1, "quoted", False, detail),))
+    out = tmp_path / "report.csv"
+    assert main(["verify", "--out", str(out)]) == 1
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["index", "name", "passed", "detail"], ["1", "quoted", "false", detail]]
+
+
 def test_verify_json_report(capsys):
     assert main(["verify", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -128,6 +146,26 @@ def test_verify_config_document(capsys):
     assert main(["verify", "--config", str(CONFIGS / "verify_loose.json")]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["tolerance_scale"] == 10.0
+
+
+@pytest.mark.parametrize("mode, tone, t_stop", [
+    (10**300, 1, 1e10),  # the carrier's phase omega*t overflows
+    (28 * 10**306, 10**306, 1.0),  # the upper sidebands' frequency overflows
+])
+def test_mean_field_overflow_is_rejected_before_sampling(mode, tone, t_stop, tmp_path, capsys):
+    cfg = {
+        "command": "mean-field",
+        "preset": "yb_dual",
+        "drive": {"type": "dsb", "m": 0.5, "tone": tone},
+        "input": {"port": 1, "mode": mode, "alpha": 1.0},
+        "mean_field": {"t_stop": t_stop, "samples": 4},
+    }
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["mean-field", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "input.mode" in captured.err and "mean_field.t_stop" in captured.err
 
 
 def test_console_entry_point_runs(child_env):

@@ -16,6 +16,7 @@ from eomsim.phase_mod import (
     pm_multitone_row,
     pm_scatter_row,
 )
+from oracles import mean_field_scalar
 
 
 def _one_tone(m, theta=0.4, tone=3, phi_b=0.6, convention="full"):
@@ -93,6 +94,30 @@ def test_mean_field_phasor_identity_and_reconstruction():
     for t, val in zip(series.times, series.values):
         manual = sum(2.0 * (ph * cmath.exp(-1j * om * t)).real for _, om, ph in series.terms)
         assert val == pytest.approx(manual, abs=1e-12)
+
+
+@pytest.mark.parametrize("arms", [
+    (_one_tone(0.05, theta=0.3, tone=2), _one_tone(0.04, theta=-1.1, tone=2, phi_b=0.7)),
+    (MultitonePMConfig(phi_b=0.2, tones=(ToneDrive(m=0.05, theta_rf=0.0, tone=1),
+                                         ToneDrive(m=0.03, theta_rf=1.2, tone=4))),
+     MultitonePMConfig(phi_b=-0.9, tones=(ToneDrive(m=0.02, theta_rf=2.0, tone=3),),
+                       convention="half")),
+    (PMConfig(phi_b=0.4, m=10.0, theta_rf=0.25, tone=3),
+     PMConfig(phi_b=-1.3, m=7.5, theta_rf=2.0, tone=3)),
+    (PMConfig(phi_b=0.1, m=3.0, theta_rf=0.0, tone=1), None),
+])
+@pytest.mark.parametrize("port", [1, 2])
+def test_mean_field_array_pass_equals_scalar_loop(arms, port):
+    cfg = preset("yb_dual" if arms[1] is not None else "yb_single", pm1=arms[0], pm2=arms[1])
+    out = coherent_output(cfg, 1, 120, alpha=1.3 - 0.4j)
+    times = [-3.0 + 0.0027 * k for k in range(5000)]
+    series = mean_field(out, port, times, nu=1.5, length=5.0, field_scale=0.8)
+    want = mean_field_scalar(out, port, times, nu=1.5, length=5.0, field_scale=0.8)
+    assert len(series.terms) > 1
+    assert series.times == want.times
+    assert series.terms == want.terms
+    assert all(type(v) is float for v in series.values)
+    assert series.values == want.values
 
 
 def test_mean_field_scales_with_lattice_geometry():
