@@ -14,17 +14,31 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 
 from .engine import EOMConfig, dsb_settings, preset, ssb_settings, PRESETS
 from .lattice import decompose_mode, mode_omega
-from .phase_mod import MultitonePMConfig, PMConfig, ToneDrive, Truncation, retained_halfwidth
+from .phase_mod import (MultitonePMConfig, PMConfig, ToneDrive, Truncation, pm_multitone_row,
+                        retained_halfwidth)
 from .splitters import SplitterSpec
 
 COMMANDS = ("spectrum", "coherent", "two-photon", "mean-field", "verify")
 FORMATS = ("csv", "json")
 MODELS = ("exact", "optical")
 _MAX_SAMPLES = 1_000_000  # mean-field sample times are built in memory up front
+_MAX_FIELD = 1e300  # bound on the sampled mean field, well inside the float range
+
+_RUN = ("command", "preset", "splitters", "arms", "drive", "input", "model", "truncation")
+_DOC = ("output", "sweep")
+# The fields each command accepts: (in the document, in a sweep point, in "input").
+_FIELDS = {
+    "spectrum": (_RUN + _DOC, _RUN, ("port", "mode")),
+    "coherent": (_RUN + _DOC, _RUN, ("port", "mode", "alpha")),
+    "two-photon": (_RUN + _DOC, _RUN, ("mode",)),
+    "mean-field": (_RUN + _DOC + ("mean_field",), _RUN + ("mean_field",), ("port", "mode", "alpha")),
+    "verify": (("command", "output", "tolerance_scale"), (), ()),
+}
 
 
 class ConfigError(ValueError):
@@ -70,72 +84,42 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("document root must be a JSON object")
 
-    _check_keys(
-        doc,
-        ("command", "preset", "splitters", "arms", "drive", "input", "model",
-         "truncation", "output", "mean_field", "sweep", "tolerance_scale"),
-        path="",
-    )
-    command = _get_str(doc, "command", "", required=True)
-    if command not in COMMANDS:
-        raise ConfigError(f"command: must be one of {COMMANDS}, got {command!r}")
+    command = _one_of(doc, "command", "", COMMANDS, required=True)
+    doc_fields, point_fields, _ = _FIELDS[command]
+    _check_keys(doc, doc_fields, "", command)
 
-    fmt = "csv"
-    if "output" in doc:
-        out = _get_obj(doc, "output", "")
-        _check_keys(out, ("format",), path="output")
-        fmt = _get_str(out, "format", "output", default="csv")
-        if fmt not in FORMATS:
-            raise ConfigError(f"output.format: must be one of {FORMATS}, got {fmt!r}")
+    out = _get(doc, "output", "", dict, default={})
+    _check_keys(out, ("format",), "output")
+    fmt = _one_of(out, "format", "output", FORMATS, default="csv")
 
     if command == "verify":
-        scale = _get_num(doc, "tolerance_scale", "", default=1.0)
+        scale = _get(doc, "tolerance_scale", "", float, default=1.0)
         if scale <= 0.0:
             raise ConfigError(f"tolerance_scale: must be positive, got {scale!r}")
-        for key in ("preset", "splitters", "arms", "drive", "input", "truncation", "mean_field", "sweep"):
-            if key in doc:
-                raise ConfigError(f"{key}: not applicable to the verify command")
-        return RunConfig(command=command, fmt=fmt, points=(), tolerance_scale=float(scale))
-
-    if "tolerance_scale" in doc:
-        raise ConfigError("tolerance_scale: only applicable to the verify command")
+        return RunConfig(command=command, fmt=fmt, points=(), tolerance_scale=scale)
 
     sweep = doc.get("sweep", None)
-    if sweep is None:
-        overrides = [{}]
-        prefixes = [""]
-    else:
-        if not isinstance(sweep, list) or not sweep:
-            raise ConfigError("sweep: must be a non-empty array of override objects")
-        overrides, prefixes = [], []
-        for i, item in enumerate(sweep):
-            if not isinstance(item, dict):
-                raise ConfigError(f"sweep[{i}]: must be an object")
-            overrides.append(item)
-            prefixes.append(f"sweep[{i}].")
+    if sweep is not None and not (isinstance(sweep, list) and sweep):
+        raise ConfigError("sweep: must be a non-empty array of override objects")
+    for i, item in enumerate(sweep or ()):
+        if not isinstance(item, dict):
+            raise ConfigError(f"sweep[{i}]: must be an object")
 
     base = {k: v for k, v in doc.items() if k not in ("sweep", "output", "description")}
     points = []
-    for override, prefix in zip(overrides, prefixes):
-        merged = _deep_merge(base, override)
-        points.append(_resolve_point(merged, command, prefix))
+    for i, override in enumerate(sweep or [{}]):
+        prefix = f"sweep[{i}]." if sweep else ""
+        _check_keys(override, point_fields, prefix, command)
+        points.append(_resolve_point(_deep_merge(base, override), command, prefix))
     return RunConfig(command=command, fmt=fmt, points=tuple(points))
 
 
 def _resolve_point(doc: dict, command: str, prefix: str) -> RunPoint:
-    _check_keys(
-        doc,
-        ("command", "preset", "splitters", "arms", "drive", "input", "model",
-         "truncation", "mean_field"),
-        path=prefix.rstrip("."),
-    )
-    cmd = doc.get("command", command)
-    if cmd != command:
+    if doc.get("command", command) != command:
         raise ConfigError(f"{prefix}command: sweep points cannot change the command")
 
     has_preset = "preset" in doc
-    has_splitters = "splitters" in doc
-    if has_preset == has_splitters:
+    if has_preset == ("splitters" in doc):
         raise ConfigError(f"{prefix}device: give exactly one of 'preset' or 'splitters'")
 
     arms = doc.get("arms", None)
@@ -144,170 +128,136 @@ def _resolve_point(doc: dict, command: str, prefix: str) -> RunPoint:
         raise ConfigError(f"{prefix}arms: give either 'arms' or 'drive', not both")
 
     if has_preset:
-        name = _get_str(doc, "preset", prefix)
-        if name not in PRESETS:
-            raise ConfigError(f"{prefix}preset: must be one of {PRESETS}, got {name!r}")
-        base_cfg = preset(name)
-        single = name.endswith("_single")
+        name = _one_of(doc, "preset", prefix, PRESETS)
     else:
-        spl = _get_obj(doc, "splitters", prefix)
-        _check_keys(spl, ("input", "output"), path=prefix + "splitters")
-        base_cfg = EOMConfig(
-            splitter_in=_parse_splitter(spl, "input", prefix + "splitters"),
-            splitter_out=_parse_splitter(spl, "output", prefix + "splitters"),
-        )
-        single = False
         name = None
+        spl = _get(doc, "splitters", prefix, dict)
+        _check_keys(spl, ("input", "output"), prefix + "splitters")
+        splitters = [_parse_splitter(spl, key, prefix + "splitters") for key in ("input", "output")]
 
     pm1 = pm2 = None
     if drive is not None:
         if name != "yb_dual":
             raise ConfigError(f"{prefix}drive: named drive schemes require the yb_dual preset")
-        drv = _get_obj(doc, "drive", prefix)
-        _check_keys(drv, ("type", "m", "tone", "cancel"), path=prefix + "drive")
-        dtype = _get_str(drv, "type", prefix + "drive", required=True)
-        m = _get_num(drv, "m", prefix + "drive", required=True)
-        tone = _get_int(drv, "tone", prefix + "drive", required=True)
-        try:
-            if dtype == "dsb":
-                if "cancel" in drv:
-                    raise ConfigError(f"{prefix}drive.cancel: only applicable to ssb")
-                pm1, pm2 = dsb_settings(m, tone)
-            elif dtype == "ssb":
-                cancel = _get_str(drv, "cancel", prefix + "drive", default="lower")
-                pm1, pm2 = ssb_settings(m, tone, cancel)
-            else:
-                raise ConfigError(f"{prefix}drive.type: must be 'dsb' or 'ssb', got {dtype!r}")
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"{prefix}drive: {exc}") from None
+        here = prefix + "drive"
+        drv = _get(doc, "drive", prefix, dict)
+        _check_keys(drv, ("type", "m", "tone", "cancel"), here)
+        dtype = _one_of(drv, "type", here, ("dsb", "ssb"), required=True)
+        m = _get(drv, "m", here, float, required=True)
+        tone = _get(drv, "tone", here, int, required=True)
+        if dtype == "dsb" and "cancel" in drv:
+            raise ConfigError(f"{here}.cancel: only applicable to ssb")
+        with _field(here):
+            pm1, pm2 = (dsb_settings(m, tone) if dtype == "dsb"
+                        else ssb_settings(m, tone, _get(drv, "cancel", here, str, default="lower")))
     elif arms is not None:
-        arm_obj = _get_obj(doc, "arms", prefix)
-        _check_keys(arm_obj, ("arm1", "arm2"), path=prefix + "arms")
+        arm_obj = _get(doc, "arms", prefix, dict)
+        _check_keys(arm_obj, ("arm1", "arm2"), prefix + "arms")
         pm1 = _parse_arm(arm_obj.get("arm1"), prefix + "arms.arm1")
         pm2 = _parse_arm(arm_obj.get("arm2"), prefix + "arms.arm2")
 
-    if single and pm2 is not None:
-        raise ConfigError(f"{prefix}arms.arm2: preset {name!r} has no second arm")
-
-    try:
-        eom = EOMConfig(
-            splitter_in=base_cfg.splitter_in, splitter_out=base_cfg.splitter_out,
-            pm1=pm1, pm2=pm2,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{prefix}arms: {exc}") from None
-
-    inp = _get_obj(doc, "input", prefix, required=True)
-    _check_keys(inp, ("port", "mode", "alpha"), path=prefix + "input")
-    n0 = _get_int(inp, "mode", prefix + "input", required=True)
-    if n0 < 1:
-        raise ConfigError(f"{prefix}input.mode: must be >= 1, got {n0}")
-    if command == "two-photon":
-        if "port" in inp:
-            raise ConfigError(f"{prefix}input.port: two-photon input occupies both ports")
-        if "alpha" in inp:
-            raise ConfigError(f"{prefix}input.alpha: not applicable to two-photon input")
-        port, alpha = 1, None
+    if has_preset:
+        with _field(prefix + "arms.arm2"):  # a *_single preset has no second arm
+            eom = preset(name, pm1=pm1, pm2=pm2)
     else:
-        port = _get_int(inp, "port", prefix + "input", default=1)
-        if port not in (1, 2):
-            raise ConfigError(f"{prefix}input.port: must be 1 or 2, got {port}")
-        if command in ("coherent", "mean-field"):
-            alpha = _parse_alpha(inp, prefix + "input")
-        else:
-            if "alpha" in inp:
-                raise ConfigError(f"{prefix}input.alpha: not applicable to a single-photon run")
-            alpha = None
+        eom = EOMConfig(splitter_in=splitters[0], splitter_out=splitters[1], pm1=pm1, pm2=pm2)
 
-    model = _get_str(doc, "model", prefix, default="exact")
-    if model not in MODELS:
-        raise ConfigError(f"{prefix}model: must be one of {MODELS}, got {model!r}")
+    here = prefix + "input"
+    inp = _get(doc, "input", prefix, dict, required=True)
+    input_fields = _FIELDS[command][2]
+    _check_keys(inp, input_fields, here, command)
+    n0 = _get(inp, "mode", here, int, required=True)
+    if n0 < 1:
+        raise ConfigError(f"{here}.mode: must be >= 1, got {n0}")
+    port = _get(inp, "port", here, int, default=1)
+    if port not in (1, 2):
+        raise ConfigError(f"{here}.port: must be 1 or 2, got {port}")
+    alpha = _parse_alpha(inp, here) if "alpha" in input_fields else None
 
-    truncation = Truncation()
-    if "truncation" in doc:
-        tr = _get_obj(doc, "truncation", prefix)
-        _check_keys(tr, ("eps", "margin"), path=prefix + "truncation")
-        try:
-            truncation = Truncation(
-                eps=_get_num(tr, "eps", prefix + "truncation", default=1e-12),
-                margin=_get_int(tr, "margin", prefix + "truncation", default=8),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{prefix}truncation: {exc}") from None
+    model = _one_of(doc, "model", prefix, MODELS, default="exact")
+
+    here = prefix + "truncation"
+    tr = _get(doc, "truncation", prefix, dict, default={})
+    _check_keys(tr, ("eps", "margin"), here)
+    with _field(here):
+        truncation = Truncation(eps=_get(tr, "eps", here, float, default=1e-12),
+                                margin=_get(tr, "margin", here, int, default=8))
 
     mf = None
     if command == "mean-field":
-        mfo = _get_obj(doc, "mean_field", prefix, required=True)
-        _check_keys(mfo, ("port", "t_start", "t_stop", "samples", "nu", "length", "field_scale"),
-                    path=prefix + "mean_field")
-        mf_port = _get_int(mfo, "port", prefix + "mean_field", default=1)
+        here = prefix + "mean_field"
+        mfo = _get(doc, "mean_field", prefix, dict, required=True)
+        _check_keys(mfo, ("port", "t_start", "t_stop", "samples", "nu", "length", "field_scale"), here)
+        mf_port = _get(mfo, "port", here, int, default=1)
         if mf_port not in (1, 2):
-            raise ConfigError(f"{prefix}mean_field.port: must be 1 or 2, got {mf_port}")
-        t0 = _get_num(mfo, "t_start", prefix + "mean_field", default=0.0)
-        t1 = _get_num(mfo, "t_stop", prefix + "mean_field", required=True)
-        ns = _get_int(mfo, "samples", prefix + "mean_field", required=True)
+            raise ConfigError(f"{here}.port: must be 1 or 2, got {mf_port}")
+        t0 = _get(mfo, "t_start", here, float, default=0.0)
+        t1 = _get(mfo, "t_stop", here, float, required=True)
+        ns = _get(mfo, "samples", here, int, required=True)
         if not 1 <= ns <= _MAX_SAMPLES:
-            raise ConfigError(f"{prefix}mean_field.samples: must be in [1, {_MAX_SAMPLES}], got {ns}")
-        nu = _get_num(mfo, "nu", prefix + "mean_field", default=1.0)
-        length = _get_num(mfo, "length", prefix + "mean_field", default=2.0 * math.pi)
+            raise ConfigError(f"{here}.samples: must be in [1, {_MAX_SAMPLES}], got {ns}")
+        nu = _get(mfo, "nu", here, float, default=1.0)
+        length = _get(mfo, "length", here, float, default=2.0 * math.pi)
         if nu <= 0.0 or length <= 0.0:
-            raise ConfigError(f"{prefix}mean_field: nu and length must be positive")
-        fs = _get_num(mfo, "field_scale", prefix + "mean_field", default=1.0)
+            raise ConfigError(f"{here}: nu and length must be positive")
+        fs = _get(mfo, "field_scale", here, float, default=1.0)
         if ns == 1:
             times = (float(t0),)
         else:
             step = (t1 - t0) / (ns - 1)
             if not math.isfinite(step):
-                raise ConfigError(f"{prefix}mean_field.t_stop: t_stop - t_start must be finite")
+                raise ConfigError(f"{here}.t_stop: t_stop - t_start must be finite")
             times = tuple(t0 + k * step for k in range(ns))
-        top = max(_top_mode(arm, n0, truncation) for arm in (eom.pm1, eom.pm2))
+        reach = [_reach(arm, n0, truncation) for arm in (eom.pm1, eom.pm2)]
         try:
-            omega = mode_omega(top, nu, length)
+            omega = mode_omega(max(top for top, _ in reach), nu, length)
         except OverflowError:  # the mode number itself does not fit a float
             omega = math.inf
         if not (math.isfinite(omega) and math.isfinite(omega * max(abs(times[0]), abs(times[-1])))):
-            raise ConfigError(f"{prefix}input.mode, {prefix}mean_field.t_stop: mean-field needs "
-                              "a finite frequency 2*pi*mode*nu/length and phase omega*t for the "
-                              "top reachable mode at the largest |t|")
+            raise ConfigError(f"{prefix}input.mode, {here}.t_stop: mean-field needs a finite frequency "
+                              "2*pi*mode*nu/length and phase omega*t for the top reachable mode at the largest |t|")
+        # a sample sums 2*Re(phasor*exp(-j omega t)) over the occupied modes, and
+        # |phasor| <= |field_scale*alpha|*sqrt(omega) times the mode's row amplitudes
+        bound = 2.0 * math.sqrt(2.0) * abs(fs * alpha) * math.sqrt(omega) * sum(r for _, r in reach)
+        if not bound <= _MAX_FIELD:
+            raise ConfigError(f"{here}.field_scale, {prefix}input.alpha: the sampled field must stay below "
+                              f"{_MAX_FIELD:g}, but 2*sqrt(2)*|field_scale*alpha|*sqrt(omega) at the top "
+                              f"reachable mode times the arms' summed amplitudes is {bound:.3g}")
         mf = MeanFieldParams(port=mf_port, times=times, nu=nu, length=length, field_scale=fs)
-    elif "mean_field" in doc:
-        raise ConfigError(f"{prefix}mean_field: only applicable to the mean-field command")
 
-    return RunPoint(
-        eom=eom, input_port=port, n0=n0, alpha=alpha,
-        truncation=truncation, model=model, mean_field=mf,
-    )
+    for key, arm in (("arm1", eom.pm1), ("arm2", eom.pm2)):
+        for i, t in enumerate(arm.tones if isinstance(arm, MultitonePMConfig) else ()):
+            with _field(f"{prefix}input.mode, {prefix}arms.{key}.tones[{i}]"):
+                pm_multitone_row(n0, replace(arm, tones=(t,)))
+
+    return RunPoint(eom=eom, input_port=port, n0=n0, alpha=alpha, truncation=truncation,
+                    model=model, mean_field=mf)
 
 
-def _top_mode(arm, n0: int, truncation: Truncation) -> int:
-    """Highest lattice mode that an arm's scatter row reaches from carrier n0."""
+def _reach(arm, n0: int, truncation: Truncation) -> tuple[int, float]:
+    """Top lattice mode an arm's row reaches from carrier n0, and a bound on its sum of |amplitude|."""
     if isinstance(arm, MultitonePMConfig):
-        return n0 + max((drive.tone for drive in arm.tones), default=0)
+        return (n0 + max((drive.tone for drive in arm.tones), default=0),
+                1.0 + 2.0 * sum(drive.m for drive in arm.tones))
     if arm is None or arm.m == 0.0:
-        return n0
+        return n0, 1.0
     dec = decompose_mode(n0, arm.tone)
-    return (dec.q0 + retained_halfwidth(arm.m, truncation)) * arm.tone - dec.r0
+    hw = retained_halfwidth(arm.m, truncation)
+    # each exact entry J_s - (-1)^q0 J_{s+2q0} has magnitude at most 2
+    return (dec.q0 + hw) * arm.tone - dec.r0, 2.0 * (2 * hw + 1)
 
 
 def _parse_splitter(parent: dict, key: str, path: str) -> SplitterSpec:
-    obj = _get_obj(parent, key, path, required=True)
+    obj = _get(parent, key, path, dict, required=True)
     here = f"{path}.{key}"
-    _check_keys(obj, ("kind", "k", "theta_split", "reverse"), path=here)
-    kind = _get_str(obj, "kind", here, required=True)
+    _check_keys(obj, ("kind", "k", "theta_split", "reverse"), here)
+    kind = _get(obj, "kind", here, str, required=True)
     reverse = obj.get("reverse", False)
     if not isinstance(reverse, bool):
         raise ConfigError(f"{here}.reverse: must be true or false")
-    kwargs = {}
-    if "k" in obj:
-        kwargs["k"] = _get_num(obj, "k", here)
-    if "theta_split" in obj:
-        kwargs["theta_split"] = _get_num(obj, "theta_split", here)
-    try:
-        return SplitterSpec(kind=kind, reverse=reverse, **kwargs)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{here}: {exc}") from None
+    with _field(here):
+        return SplitterSpec(kind=kind, reverse=reverse, k=_get(obj, "k", here, float),
+                            theta_split=_get(obj, "theta_split", here, float))
 
 
 def _parse_arm(obj, path: str):
@@ -315,43 +265,30 @@ def _parse_arm(obj, path: str):
         return None
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: must be an object or null")
-    if "tones" in obj:
-        _check_keys(obj, ("phi_b", "tones", "convention"), path=path)
-        tones_raw = obj["tones"]
-        if not isinstance(tones_raw, list):
-            raise ConfigError(f"{path}.tones: must be an array")
-        tones = []
-        for i, t in enumerate(tones_raw):
-            tpath = f"{path}.tones[{i}]"
-            if not isinstance(t, dict):
-                raise ConfigError(f"{tpath}: must be an object")
-            _check_keys(t, ("m", "theta_rf", "tone"), path=tpath)
-            try:
-                tones.append(ToneDrive(
-                    m=_get_num(t, "m", tpath, required=True),
-                    theta_rf=_get_num(t, "theta_rf", tpath, default=0.0),
-                    tone=_get_int(t, "tone", tpath, required=True),
-                ))
-            except ValueError as exc:
-                raise ConfigError(f"{tpath}: {exc}") from None
-        try:
-            return MultitonePMConfig(
-                phi_b=_get_num(obj, "phi_b", path, default=0.0),
-                tones=tuple(tones),
-                convention=_get_str(obj, "convention", path, default="full"),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
-    _check_keys(obj, ("phi_b", "m", "theta_rf", "tone"), path=path)
-    try:
-        return PMConfig(
-            phi_b=_get_num(obj, "phi_b", path, default=0.0),
-            m=_get_num(obj, "m", path, required=True),
-            theta_rf=_get_num(obj, "theta_rf", path, default=0.0),
-            tone=_get_int(obj, "tone", path, required=True),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    if "tones" not in obj:
+        _check_keys(obj, ("phi_b", "m", "theta_rf", "tone"), path)
+        with _field(path):
+            return PMConfig(phi_b=_get(obj, "phi_b", path, float, default=0.0),
+                            m=_get(obj, "m", path, float, required=True),
+                            theta_rf=_get(obj, "theta_rf", path, float, default=0.0),
+                            tone=_get(obj, "tone", path, int, required=True))
+    _check_keys(obj, ("phi_b", "tones", "convention"), path)
+    if not isinstance(obj["tones"], list):
+        raise ConfigError(f"{path}.tones: must be an array")
+    tones = []
+    for i, t in enumerate(obj["tones"]):
+        here = f"{path}.tones[{i}]"
+        if not isinstance(t, dict):
+            raise ConfigError(f"{here}: must be an object")
+        _check_keys(t, ("m", "theta_rf", "tone"), here)
+        with _field(here):
+            tones.append(ToneDrive(m=_get(t, "m", here, float, required=True),
+                                   theta_rf=_get(t, "theta_rf", here, float, default=0.0),
+                                   tone=_get(t, "tone", here, int, required=True)))
+    with _field(path):
+        return MultitonePMConfig(phi_b=_get(obj, "phi_b", path, float, default=0.0),
+                                 tones=tuple(tones),
+                                 convention=_get(obj, "convention", path, str, default="full"))
 
 
 def _parse_alpha(inp: dict, path: str) -> complex:
@@ -370,58 +307,57 @@ def _parse_alpha(inp: dict, path: str) -> complex:
 def _deep_merge(base: dict, override: dict) -> dict:
     out = dict(base)
     for key, val in override.items():
-        if key == "description":
-            continue
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], val)
-        else:
-            out[key] = val
+        if key != "description":
+            nested = isinstance(val, dict) and isinstance(out.get(key), dict)
+            out[key] = _deep_merge(out[key], val) if nested else val
     return out
 
 
-def _check_keys(obj: dict, allowed: tuple, path: str) -> None:
+def _check_keys(obj: dict, allowed: tuple, path: str, command: str | None = None) -> None:
+    """Refuse any field of `obj` outside `allowed`, naming `command` when it owns the list."""
     for key in obj:
-        if key == "description":
-            continue
-        if key not in allowed:
-            where = f"{path}.{key}" if path else key
-            raise ConfigError(f"{where}: unknown field")
+        if key != "description" and key not in allowed:
+            why = f"unknown field for the {command} command" if command else "unknown field"
+            raise ConfigError(f"{_where(path, key)}: {why}")
 
 
-def _get_obj(doc: dict, key: str, path: str, required: bool = False) -> dict:
-    where = f"{path}.{key}" if path else key
+@contextmanager
+def _field(path: str):
+    """Report a library type's own ValueError as a ConfigError under the field path."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+_KINDS = {dict: "an object", str: "a string", float: "a number", int: "an integer"}
+
+
+def _get(doc: dict, key: str, path: str, kind: type, required: bool = False, default=None):
+    """doc[key], checked to be a `kind` (dict, str, float or int), or `default` when absent."""
+    where = _where(path, key)
     if key not in doc:
         if required:
-            raise ConfigError(f"{where}: required section is missing")
-        return {}
+            raise ConfigError(f"{where}: required {'section' if kind is dict else 'field'} is missing")
+        return default
     val = doc[key]
-    if not isinstance(val, dict):
-        raise ConfigError(f"{where}: must be an object")
+    if isinstance(val, bool) or not isinstance(val, (int, float) if kind is float else kind):
+        raise ConfigError(f"{where}: must be {_KINDS[kind]}")
+    return _finite(val, where) if kind is float else val
+
+
+def _one_of(doc: dict, key: str, path: str, choices: tuple, required: bool = False, default=None):
+    val = _get(doc, key, path, str, required, default)
+    if val not in choices:
+        raise ConfigError(f"{_where(path, key)}: must be one of {choices}, got {val!r}")
     return val
 
 
-def _get_str(doc: dict, key: str, path: str, required: bool = False, default: str | None = None):
-    where = f"{path}.{key}" if path else key
-    if key not in doc:
-        if required:
-            raise ConfigError(f"{where}: required field is missing")
-        return default
-    val = doc[key]
-    if not isinstance(val, str):
-        raise ConfigError(f"{where}: must be a string")
-    return val
-
-
-def _get_num(doc: dict, key: str, path: str, required: bool = False, default: float | None = None):
-    where = f"{path}.{key}" if path else key
-    if key not in doc:
-        if required:
-            raise ConfigError(f"{where}: required field is missing")
-        return default
-    val = doc[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{where}: must be a number")
-    return _finite(val, where)
+def _where(path: str, key: str) -> str:
+    """Field path of `key` under `path`, which may end in the "." of a sweep prefix."""
+    return f"{path}.{key}" if path and not path.endswith(".") else path + key
 
 
 def _finite(val: int | float, where: str) -> float:
@@ -431,16 +367,4 @@ def _finite(val: int | float, where: str) -> float:
         val = math.inf
     if not math.isfinite(val):
         raise ConfigError(f"{where}: must be finite")
-    return val
-
-
-def _get_int(doc: dict, key: str, path: str, required: bool = False, default: int | None = None):
-    where = f"{path}.{key}" if path else key
-    if key not in doc:
-        if required:
-            raise ConfigError(f"{where}: required field is missing")
-        return default
-    val = doc[key]
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise ConfigError(f"{where}: must be an integer")
     return val

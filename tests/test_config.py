@@ -168,6 +168,17 @@ def test_descriptions_are_ignored_everywhere():
         (lambda d: d.update(output={"format": "yaml"}), "output.format"),
         (lambda d: d.update(sweep=[]), "sweep"),
         (lambda d: d.update(tolerance_scale=2.0), "tolerance_scale"),
+        (lambda d: d.update(command="two-photon"), "input.port: unknown field for the two-photon command"),
+        (lambda d: d["input"].update(alpha=1.0), "input.alpha"),
+        (lambda d: (d.pop("drive"), d.update(preset="yb_single", input={"mode": 3}, arms={
+            "arm1": {"tones": [{"m": 0.01, "tone": 1}, {"m": 0.01, "tone": 5}]}})),
+         r"input\.mode, arms\.arm1\.tones\[1\]"),
+        (lambda d: d.update(command="mean-field", input={"mode": 10**10, "alpha": 1.0},
+                            mean_field={"t_stop": 0.0, "samples": 4, "field_scale": 1e305}),
+         r"mean_field\.field_scale, input\.alpha"),
+        (lambda d: d.update(command="mean-field", input={"mode": 100, "alpha": 1e150},
+                            mean_field={"t_stop": 1.0, "samples": 4, "field_scale": 1e150}),
+         r"mean_field\.field_scale, input\.alpha"),
     ],
 )
 def test_validation_errors_name_the_field(mutate, fragment):
@@ -278,6 +289,8 @@ def test_verify_document():
         parse_config(json.dumps({"command": "verify", "tolerance_scale": -1.0}))
     with pytest.raises(ConfigError, match="input"):
         parse_config(json.dumps({"command": "verify", "input": {"mode": 5}}))
+    with pytest.raises(ConfigError, match="model"):
+        parse_config(json.dumps({"command": "verify", "model": 42}))
 
 
 def test_invalid_json_is_reported():

@@ -1,8 +1,11 @@
 import cmath
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
+from eomsim import verify
 from eomsim.engine import (
     coherent_output,
     mean_field,
@@ -118,6 +121,24 @@ def test_mean_field_array_pass_equals_scalar_loop(arms, port):
     assert series.terms == want.terms
     assert all(type(v) is float for v in series.values)
     assert series.values == want.values
+
+
+def test_small_signal_check_catches_exp_rounded_field(monkeypatch):
+    # the same field through complex exp() differs from the cos/sin pass in
+    # the last bits at some sample times; check 10 must see that
+    def exp_mean_field(spectrum, port, times, **kwargs):
+        series = mean_field(spectrum, port, times, **kwargs)
+        tarr = np.array(series.times)
+        values = np.zeros(len(tarr))
+        for _mode, omega, ph in series.terms:
+            values += 2 * (ph * np.exp(-1j * omega * tarr)).real
+        return dataclasses.replace(series, values=tuple(values.tolist()))
+
+    assert verify.check_small_signal().passed
+    monkeypatch.setattr(verify, "mean_field", exp_mean_field)
+    result = verify.check_small_signal()
+    assert not result.passed
+    assert "field reconstruction BROKEN" in result.detail
 
 
 def test_mean_field_scales_with_lattice_geometry():
