@@ -5,6 +5,7 @@ intentional change to the emitters or the physics and review the diff before
 committing; the acceptance suite compares byte-for-byte.
 """
 
+import json
 from pathlib import Path
 
 from eomsim.cli import main
@@ -13,23 +14,20 @@ REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
 GOLDEN = REPO / "tests" / "golden"
 
-RUNS = [
-    ("spectrum", "yb_dual_dsb.json", "yb_dual_dsb.csv"),
-    ("spectrum", "yb_dual_dsb.json", "yb_dual_dsb.json"),
-    ("spectrum", "yb_dual_ssb.json", "yb_dual_ssb.json"),
-    ("spectrum", "yb_dual_ssb.json", "yb_dual_ssb.csv"),
-    ("two-photon", "dc_two_photon.json", "dc_two_photon.csv"),
-    ("two-photon", "dc_two_photon.json", "dc_two_photon.json"),
-    ("coherent", "hybrid_single.json", "hybrid_single.json"),
-    ("coherent", "hybrid_single.json", "hybrid_single.csv"),
-    ("mean-field", "multitone_mean_field.json", "multitone_mean_field.csv"),
-    ("mean-field", "multitone_mean_field.json", "multitone_mean_field.json"),
-]
+
+def golden_runs() -> list[tuple[str, str, str]]:
+    """(command, config file, golden file) for every non-verify config, in CSV and JSON."""
+    runs = []
+    for path in sorted(CONFIGS.glob("*.json")):
+        command = json.loads(path.read_text())["command"]
+        if command != "verify":
+            runs += [(command, path.name, f"{path.stem}.{fmt}") for fmt in ("csv", "json")]
+    return runs
 
 
 def regen() -> None:
     GOLDEN.mkdir(parents=True, exist_ok=True)
-    for command, config, golden in RUNS:
+    for command, config, golden in golden_runs():
         target = GOLDEN / golden
         rc = main([command, "--config", str(CONFIGS / config), "--format", target.suffix[1:],
                    "--out", str(target)])

@@ -79,7 +79,7 @@ class PMConfig:
 
 @dataclass(frozen=True)
 class ToneDrive:
-    """One small-signal RF tone: index m, phase theta_rf, integer harmonic."""
+    """One small-signal RF tone: index 0 <= m <= 50, phase theta_rf, integer harmonic."""
 
     m: float
     theta_rf: float
@@ -88,8 +88,8 @@ class ToneDrive:
     def __post_init__(self) -> None:
         if not isinstance(self.tone, int) or isinstance(self.tone, bool) or self.tone < 1:
             raise ValueError(f"tone must be an integer >= 1, got {self.tone!r}")
-        if self.m < 0.0 or not math.isfinite(self.m):
-            raise ValueError(f"modulation index must be >= 0, got {self.m!r}")
+        if not 0.0 <= self.m <= _MAX_INDEX:
+            raise ValueError(f"modulation index must lie in [0, {_MAX_INDEX}], got {self.m!r}")
         if not math.isfinite(self.theta_rf):
             raise ValueError(f"theta_rf must be finite, got {self.theta_rf!r}")
 

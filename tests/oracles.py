@@ -10,8 +10,9 @@ ladder chain at once, as the reference for the one-chain generator route in
 coherent splitter, the single-drive Y-branch, the coupler photon pair) are
 written out as explicit expressions rather than calls into the general
 device path, `pair_table_accumulated` sums the pair table product by product,
-`schmidt_dense` decomposes the full port coefficient matrix that
-`port_entanglement` reads off the two one-photon outputs, and
+`schmidt_dense` and `schmidt_range` decompose the full port coefficient
+matrix that `port_entanglement` reads off the two one-photon outputs (by a
+full SVD and by a randomized range finder), and
 `mean_field_scalar` samples the classical field one time and one term at a
 time with stdlib trigonometry.
 """
@@ -242,13 +243,12 @@ def _add(amps: dict, key, val: complex) -> None:
         amps[k] = amps.get(k, 0.0) + val
 
 
-def schmidt_dense(state: TwoPhotonState) -> np.ndarray:
-    """Schmidt coefficients from one SVD of the full port coefficient matrix.
+def pair_label_matrix(state: TwoPhotonState) -> np.ndarray:
+    """The full port coefficient matrix, indexed by pair labels.
 
     Rows index every occupation state of port 1 (both photons, one photon,
-    vacuum), columns those of port 2, so the matrix is indexed by pair
-    labels and its SVD grows with the square of the pair count.  Same
-    cutoff as `port_entanglement`: values above sigma_max * max(shape) * eps.
+    vacuum), columns those of port 2, so the matrix grows with the square of
+    the pair count.
     """
     rows: dict[tuple, int] = {}
     cols: dict[tuple, int] = {}
@@ -269,13 +269,44 @@ def schmidt_dense(state: TwoPhotonState) -> np.ndarray:
         rows.setdefault(row_label, len(rows))
         cols.setdefault(col_label, len(cols))
         entries.append((rows[row_label], cols[col_label], qamp))
-    if not entries:
-        return np.zeros(0)
     mat = np.zeros((len(rows), len(cols)), dtype=np.complex128)
     for i, j, qamp in entries:
         mat[i, j] += qamp
-    svs = np.linalg.svd(mat, compute_uv=False)
-    return svs[svs > svs[0] * max(mat.shape) * np.finfo(float).eps]
+    return mat
+
+
+def _significant(svs: np.ndarray, shape: tuple) -> np.ndarray:
+    """Same cutoff as `port_entanglement`: values above sigma_max * max(shape) * eps."""
+    return svs[svs > svs[0] * max(shape) * np.finfo(float).eps]
+
+
+def schmidt_dense(state: TwoPhotonState) -> np.ndarray:
+    """Schmidt coefficients from one full SVD of `pair_label_matrix`."""
+    mat = pair_label_matrix(state)
+    if not mat.size:
+        return np.zeros(0)
+    return _significant(np.linalg.svd(mat, compute_uv=False), mat.shape)
+
+
+def schmidt_range(state: TwoPhotonState, probes: int = 8) -> tuple[np.ndarray, float]:
+    """Schmidt coefficients of `pair_label_matrix` M by a randomized range finder.
+
+    Q = qr(M @ Omega) for `probes` seeded complex Gaussian columns Omega,
+    then the SVD of the small matrix Q^H M (Halko, Martinsson & Tropp, SIAM
+    Rev. 53, 2011).  M has rank <= 4 (one vacuum row, one vacuum column and
+    a rank-2 split block), so 8 probes capture its range.  Also returns the
+    residual ||M - Q Q^H M||_F, which is round-off only when Q spans the
+    whole range, i.e. when the values returned are all of M's.
+    """
+    mat = pair_label_matrix(state)
+    if not mat.size:
+        return np.zeros(0), 0.0
+    rng = np.random.default_rng(0)
+    omega = rng.standard_normal((mat.shape[1], probes)) + 1j * rng.standard_normal((mat.shape[1], probes))
+    q, _ = np.linalg.qr(mat @ omega)
+    proj = q.conj().T @ mat
+    residual = float(np.linalg.norm(mat - q @ proj))
+    return _significant(np.linalg.svd(proj, compute_uv=False), mat.shape), residual
 
 
 def mean_field_scalar(

@@ -19,6 +19,7 @@ import pytest
 
 from eomsim import verify
 from eomsim.cli import main
+from regen_goldens import golden_runs
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -79,20 +80,8 @@ def test_criterion_10_small_signal_and_mean_field(battery):
 
 
 def test_criterion_11_cli_contract(tmp_path, child_env):
-    runs = [
-        ("spectrum", "yb_dual_dsb.json", "yb_dual_dsb.csv"),
-        ("spectrum", "yb_dual_dsb.json", "yb_dual_dsb.json"),
-        ("spectrum", "yb_dual_ssb.json", "yb_dual_ssb.json"),
-        ("spectrum", "yb_dual_ssb.json", "yb_dual_ssb.csv"),
-        ("two-photon", "dc_two_photon.json", "dc_two_photon.csv"),
-        ("two-photon", "dc_two_photon.json", "dc_two_photon.json"),
-        ("coherent", "hybrid_single.json", "hybrid_single.json"),
-        ("coherent", "hybrid_single.json", "hybrid_single.csv"),
-        ("mean-field", "multitone_mean_field.json", "multitone_mean_field.csv"),
-        ("mean-field", "multitone_mean_field.json", "multitone_mean_field.json"),
-    ]
     failures = []
-    for command, config, golden in runs:
+    for command, config, golden in golden_runs():
         out = tmp_path / golden
         rc = main([command, "--config", str(CONFIGS / config), "--format", out.suffix[1:],
                    "--out", str(out)])

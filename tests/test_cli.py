@@ -8,32 +8,23 @@ import pytest
 
 from eomsim import verify
 from eomsim.cli import main
+from regen_goldens import golden_runs
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-GOLDEN_RUNS = [
-    ("spectrum", "yb_dual_dsb.json", "yb_dual_dsb.csv"),
-    ("spectrum", "yb_dual_dsb.json", "yb_dual_dsb.json"),
-    ("spectrum", "yb_dual_ssb.json", "yb_dual_ssb.json"),
-    ("spectrum", "yb_dual_ssb.json", "yb_dual_ssb.csv"),
-    ("two-photon", "dc_two_photon.json", "dc_two_photon.csv"),
-    ("two-photon", "dc_two_photon.json", "dc_two_photon.json"),
-    ("coherent", "hybrid_single.json", "hybrid_single.json"),
-    ("coherent", "hybrid_single.json", "hybrid_single.csv"),
-    ("mean-field", "multitone_mean_field.json", "multitone_mean_field.csv"),
-    ("mean-field", "multitone_mean_field.json", "multitone_mean_field.json"),
-]
-
-
-@pytest.mark.parametrize("command, config, golden", GOLDEN_RUNS)
+@pytest.mark.parametrize("command, config, golden", golden_runs())
 def test_outputs_match_goldens_byte_for_byte(command, config, golden, tmp_path):
     out = tmp_path / golden
     rc = main([command, "--config", str(CONFIGS / config), "--format", out.suffix[1:],
                "--out", str(out)])
     assert rc == 0
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+def test_every_golden_has_a_config_run():
+    assert {path.name for path in GOLDEN.iterdir()} == {golden for _c, _f, golden in golden_runs()}
 
 
 def test_repeated_runs_are_identical(tmp_path):

@@ -173,6 +173,9 @@ def test_descriptions_are_ignored_everywhere():
         (lambda d: (d.pop("drive"), d.update(preset="yb_single", input={"mode": 3}, arms={
             "arm1": {"tones": [{"m": 0.01, "tone": 1}, {"m": 0.01, "tone": 5}]}})),
          r"input\.mode, arms\.arm1\.tones\[1\]"),
+        (lambda d: (d.pop("drive"), d.update(preset="yb_single", input={"mode": 10}, arms={
+            "arm1": {"tones": [{"m": 1e308, "tone": 2}, {"m": 1e308, "tone": 2}]}})),
+         r"arms\.arm1\.tones\[0\]: modulation index must lie in \[0, 50\.0\]"),
         (lambda d: d.update(command="mean-field", input={"mode": 10**10, "alpha": 1.0},
                             mean_field={"t_stop": 0.0, "samples": 4, "field_scale": 1e305}),
          r"mean_field\.field_scale, input\.alpha"),

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -138,7 +139,8 @@ def test_small_signal_check_catches_exp_rounded_field(monkeypatch):
     monkeypatch.setattr(verify, "mean_field", exp_mean_field)
     result = verify.check_small_signal()
     assert not result.passed
-    assert "field reconstruction BROKEN" in result.detail
+    defect = re.search(r"field reconstruction defect (\S+) ", result.detail)
+    assert float(defect.group(1)) > 0.0
 
 
 def test_mean_field_scales_with_lattice_geometry():

@@ -314,6 +314,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         MultitonePMConfig(phi_b=0.0, tones=(ToneDrive(m=0.1, theta_rf=0.0, tone=1),),
                           convention="exact")
+    # a multitone depth has the single-tone cap
+    assert ToneDrive(m=50.0, theta_rf=0.0, tone=1).m == 50.0
+    for m in (50.0001, -0.1, math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"modulation index must lie in \[0, 50\.0\]"):
+            ToneDrive(m=m, theta_rf=0.0, tone=1)
     with pytest.raises(ValueError):
         Truncation(eps=0.0)
     with pytest.raises(ValueError):

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from eomsim.engine import PRESETS, port_entanglement, preset, two_photon_output
 from eomsim.phase_mod import PMConfig, Truncation, pm_scatter_row
-from oracles import pair_table_accumulated, schmidt_dense, two_photon_dc_closed_form
+from oracles import (pair_table_accumulated, schmidt_dense, schmidt_range,
+                     two_photon_dc_closed_form)
 
 DPHI_GRID = [0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2]
 
@@ -132,6 +133,17 @@ def _schmidt_grid():
 @pytest.mark.parametrize("name, tones, bias, n0, model, m", _schmidt_grid())
 def test_block_spectrum_matches_dense_svd(name, tones, bias, n0, model, m):
     state = two_photon_output(_pair_device(name, bias, m, tones), n0, model=model)
+    blocks = port_entanglement(state)
+    dense, residual = schmidt_range(state)
+    assert residual <= 1e-14  # the probes spanned the dense matrix's whole range
+    assert len(blocks) == len(dense)
+    assert np.max(np.abs(blocks - dense)) <= 1e-14
+
+
+@pytest.mark.parametrize("name", ["yb_dual", "dc_dual", "hybrid_dual"])
+def test_block_spectrum_matches_full_svd_on_the_largest_matrices(name):
+    # n0 = 40, tones 2/5, m = 0.4 gives the grid's largest dense matrices
+    state = two_photon_output(_pair_device(name, 0.3, 0.4, (2, 5)), 40)
     blocks = port_entanglement(state)
     dense = schmidt_dense(state)
     assert len(blocks) == len(dense)
