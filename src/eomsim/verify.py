@@ -25,12 +25,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (EOMConfig, TwoPortSpectrum, coherent_output, dsb_settings, mean_field,
-                     port_entanglement, preset, single_photon_output, ssb_settings,
-                     two_photon_output)
+from .engine import (
+    EOMConfig,
+    TwoPortSpectrum,
+    coherent_output,
+    dsb_settings,
+    mean_field,
+    port_entanglement,
+    preset,
+    single_photon_output,
+    ssb_settings,
+    two_photon_output,
+)
 from .lattice import decompose_mode, mode_omega
-from .phase_mod import (MultitonePMConfig, PMConfig, ToneDrive, Truncation, pm_multitone_row,
-                        pm_scatter_row, retained_halfwidth)
+from .phase_mod import (
+    MultitonePMConfig,
+    PMConfig,
+    ToneDrive,
+    Truncation,
+    pm_multitone_row,
+    pm_scatter_row,
+    retained_halfwidth,
+)
 from .splitters import SplitterCoeffs, SplitterSpec, splitter_coeffs
 
 
@@ -140,12 +156,15 @@ def _auto_lattice(cfg: EOMConfig, n0: int) -> int:
 
 
 def _reciprocity_defect(c: SplitterCoeffs) -> float:
-    """Worst of the two unit-row defects and the cross relation |conj(r) t' + r' conj(t)|."""
-    return max(
+    """Worst of the two unit-row defects and the cross relation |conj(r) t' + r' conj(t)|.
+
+    The max propagates NaN, so a NaN coefficient reads as a NaN defect.
+    """
+    return float(np.max([
         abs(abs(c.tp) ** 2 + abs(c.rp) ** 2 - 1.0),
         abs(abs(c.t) ** 2 + abs(c.r) ** 2 - 1.0),
         abs(c.r.conjugate() * c.tp + c.rp * c.t.conjugate()),
-    )
+    ]))
 
 
 @dataclass(frozen=True)
@@ -290,9 +309,12 @@ def check_randomized_closure(scale: float = 1.0) -> CheckResult:
         def rand_arm(tone: int):
             if rng.random() < 0.1:
                 return None
-            return PMConfig(phi_b=float(rng.uniform(-math.pi, math.pi)),
-                            m=float(rng.uniform(0.0, 2.0)),
-                            theta_rf=float(rng.uniform(-math.pi, math.pi)), tone=tone)
+            return PMConfig(
+                phi_b=float(rng.uniform(-math.pi, math.pi)),
+                m=float(rng.uniform(0.0, 2.0)),
+                theta_rf=float(rng.uniform(-math.pi, math.pi)),
+                tone=tone,
+            )
 
         cfg = EOMConfig(splitter_in=rand_spec(), splitter_out=rand_spec(),
                         pm1=rand_arm(tone1), pm2=rand_arm(tone2))
@@ -318,7 +340,10 @@ def check_coherent_scaling(scale: float = 1.0) -> CheckResult:
     ]
     for name, m, tone, n0, alpha in cases:
         pm1, pm2 = dsb_settings(m, tone)
-        cfg = preset(name, pm1=pm1) if name.endswith("_single") else preset(name, pm1=pm1, pm2=pm2)
+        if name.endswith("_single"):
+            cfg = preset(name, pm1=pm1)
+        else:
+            cfg = preset(name, pm1=pm1, pm2=pm2)
         single = single_photon_output(cfg, 1, n0)
         coh = coherent_output(cfg, 1, n0, alpha)
         for got, base in ((coh.port1, single.port1), (coh.port2, single.port2)):
@@ -416,9 +441,16 @@ def check_small_signal(scale: float = 1.0) -> CheckResult:
 
 
 CHECKS = (
-    check_splitter_laws, check_scatter_unitarity, check_generator_agreement, check_optical_limit,
-    check_dsb_suppression, check_ssb_cancellation, check_randomized_closure,
-    check_coherent_scaling, check_two_photon, check_small_signal,
+    check_splitter_laws,
+    check_scatter_unitarity,
+    check_generator_agreement,
+    check_optical_limit,
+    check_dsb_suppression,
+    check_ssb_cancellation,
+    check_randomized_closure,
+    check_coherent_scaling,
+    check_two_photon,
+    check_small_signal,
 )
 
 

@@ -288,21 +288,21 @@ def schmidt_dense(state: TwoPhotonState) -> np.ndarray:
     return _significant(np.linalg.svd(mat, compute_uv=False), mat.shape)
 
 
-def schmidt_range(state: TwoPhotonState, probes: int = 8) -> tuple[np.ndarray, float]:
+def schmidt_range(state: TwoPhotonState) -> tuple[np.ndarray, float]:
     """Schmidt coefficients of `pair_label_matrix` M by a randomized range finder.
 
-    Q = qr(M @ Omega) for `probes` seeded complex Gaussian columns Omega,
-    then the SVD of the small matrix Q^H M (Halko, Martinsson & Tropp, SIAM
-    Rev. 53, 2011).  M has rank <= 4 (one vacuum row, one vacuum column and
-    a rank-2 split block), so 8 probes capture its range.  Also returns the
-    residual ||M - Q Q^H M||_F, which is round-off only when Q spans the
-    whole range, i.e. when the values returned are all of M's.
+    Q = qr(M @ Omega) for 8 seeded complex Gaussian columns Omega, then the
+    SVD of the small matrix Q^H M (Halko, Martinsson & Tropp, SIAM Rev. 53,
+    2011).  M has rank <= 4 (one vacuum row, one vacuum column and a rank-2
+    split block), so 8 probes capture its range.  Also returns the residual
+    ||M - Q Q^H M||_F, which is round-off only when Q spans the whole range,
+    i.e. when the values returned are all of M's.
     """
     mat = pair_label_matrix(state)
     if not mat.size:
         return np.zeros(0), 0.0
     rng = np.random.default_rng(0)
-    omega = rng.standard_normal((mat.shape[1], probes)) + 1j * rng.standard_normal((mat.shape[1], probes))
+    omega = rng.standard_normal((mat.shape[1], 8)) + 1j * rng.standard_normal((mat.shape[1], 8))
     q, _ = np.linalg.qr(mat @ omega)
     proj = q.conj().T @ mat
     residual = float(np.linalg.norm(mat - q @ proj))

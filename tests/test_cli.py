@@ -8,6 +8,7 @@ import pytest
 
 from eomsim import verify
 from eomsim.cli import main
+import regen_goldens
 from regen_goldens import golden_runs
 
 REPO = Path(__file__).resolve().parent.parent
@@ -25,6 +26,15 @@ def test_outputs_match_goldens_byte_for_byte(command, config, golden, tmp_path):
 
 def test_every_golden_has_a_config_run():
     assert {path.name for path in GOLDEN.iterdir()} == {golden for _c, _f, golden in golden_runs()}
+
+
+def test_regen_writes_the_checked_in_goldens(monkeypatch, tmp_path):
+    monkeypatch.setattr(regen_goldens, "GOLDEN", tmp_path)
+    regen_goldens.regen()
+    written = sorted(path.name for path in tmp_path.iterdir())
+    assert written == sorted(path.name for path in GOLDEN.iterdir())
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
 def test_repeated_runs_are_identical(tmp_path):

@@ -88,6 +88,16 @@ def test_splitter_laws_check_flags_broken_tables(monkeypatch, table):
     assert _reciprocity_defect(table) > 0.1
 
 
+def test_splitter_laws_check_flags_nan_table(monkeypatch):
+    table = SplitterCoeffs(t=complex(math.nan, 0.0), tp=SQ + 0j, r=1j * SQ, rp=1j * SQ)
+    monkeypatch.setattr(verify, "splitter_coeffs", lambda spec: table)
+    result = verify.check_splitter_laws()
+    assert not result.passed
+    assert "reciprocity defect nan" in result.detail
+    assert "reciprocity broken" in result.detail
+    assert math.isnan(_reciprocity_defect(table))
+
+
 @given(
     k=st.floats(0.0, 1.0, allow_nan=False),
     re_a=st.floats(-3, 3), im_a=st.floats(-3, 3),
