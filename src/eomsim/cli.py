@@ -50,8 +50,36 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def _csv(header: str, lines: list[str]) -> str:
-    return "\n".join([header, *lines]) + "\n"
+# The record kinds of a run point: per kind, its JSON keys and their %
+# conversions, in the order of the point's record tuples.  No key holds "nan"
+# or "inf", which is how %r spells the non-finite floats that json writes as
+# NaN and Infinity.
+RECORDS = {
+    "rows": (("port", "d"), ("mode", "d"), ("order", "d"), ("re", "r"), ("im", "r"), ("prob", "r")),
+    "pairs": (("port_a", "d"), ("mode_a", "d"), ("port_b", "d"), ("mode_b", "d"),
+              ("re", "r"), ("im", "r"), ("prob", "r")),
+    "phasors": (("mode", "d"), ("omega", "r"), ("re", "r"), ("im", "r")),
+    "samples": (("t", "r"), ("field", "r")),
+}
+# One record inside a point, as json.dumps(indent=2) prints it.
+JSON_LAYOUTS = {
+    kind: "        {\n%s\n        }" % ",\n".join('          "%s": %%%s' % kv for kv in fields)
+    for kind, fields in RECORDS.items()
+}
+# The CSV columns of each record kind after `point`: its record tuple's fields
+# in order, with the columns the kind does not use left empty.
+CSV_LAYOUTS = {
+    "rows": "%d,%d,%d,%.17g,%.17g,%.17g",
+    "pairs": "pair,%d,%d,%d,%d,%.17g,%.17g,%.17g",
+    "phasors": "phasor,%d,%.17g,,%.17g,%.17g,",
+    "samples": "sample,,,%.17g,,,%.17g",
+}
+CSV_HEADERS = {
+    "spectrum": "point,port,mode,order,re,im,prob",
+    "coherent": "point,port,mode,order,re,im,prob",
+    "two-photon": "point,record,k1,k2,k3,k4,re,im,value",
+    "mean-field": "point,record,mode,omega,t,re,im,field",
+}
 
 
 def _order_basis(eom) -> int | None:
@@ -76,19 +104,12 @@ def _spectrum_point(pt: RunPoint, idx: int, coherent: bool) -> dict:
         spec = coherent_output(pt.eom, pt.input_port, pt.n0, pt.alpha, pt.truncation, pt.model)
     else:
         spec = single_photon_output(pt.eom, pt.input_port, pt.n0, pt.truncation, pt.model)
-    basis = _order_basis(pt.eom)
-    rows = []
-    for port in (1, 2):
-        for mode, amp in sorted(spec.port(port).items()):
-            offset = mode - pt.n0
-            rows.append({
-                "port": port,
-                "mode": mode,
-                "order": offset // basis if basis else offset,
-                "re": amp.real,
-                "im": amp.imag,
-                "prob": abs(amp) ** 2,
-            })
+    basis = _order_basis(pt.eom) or 1
+    rows = [
+        (port, mode, (mode - pt.n0) // basis, amp.real, amp.imag, abs(amp) ** 2)
+        for port in (1, 2)
+        for mode, amp in sorted(spec.port(port).items())
+    ]
     out = {
         "point": idx,
         "input_port": pt.input_port,
@@ -104,23 +125,14 @@ def _spectrum_point(pt: RunPoint, idx: int, coherent: bool) -> dict:
 
 def _two_photon_point(pt: RunPoint, idx: int) -> dict:
     state = two_photon_output(pt.eom, pt.n0, pt.truncation, pt.model)
-    pairs = []
-    for key, amp in state.amps.items():
-        (p1, m1), (p2, m2) = key
-        pairs.append({
-            "port_a": p1, "mode_a": m1, "port_b": p2, "mode_b": m2,
-            "re": amp.real, "im": amp.imag,
-            "prob": state.pair_probability(key),
-        })
-    svs = [float(s) for s in port_entanglement(state)]
     return {
         "point": idx,
         "mode_in": pt.n0,
         "model": pt.model,
         "norm": state.norm_sq(),
-        "pairs": pairs,
+        "pairs": list(zip(*(column.tolist() for column in state.pairs))),
         "sectors": state.sector_probabilities(),
-        "singular_values": svs,
+        "singular_values": port_entanglement(state).tolist(),
     }
 
 
@@ -128,11 +140,6 @@ def _mean_field_point(pt: RunPoint, idx: int) -> dict:
     mf = pt.mean_field
     spec = coherent_output(pt.eom, pt.input_port, pt.n0, pt.alpha, pt.truncation, pt.model)
     series = mean_field(spec, mf.port, mf.times, mf.nu, mf.length, mf.field_scale)
-    phasors = [
-        {"mode": mode, "omega": omega, "re": ph.real, "im": ph.imag}
-        for mode, omega, ph in series.terms
-    ]
-    samples = [{"t": t, "field": v} for t, v in zip(series.times, series.values)]
     return {
         "point": idx,
         "input_port": pt.input_port,
@@ -140,8 +147,8 @@ def _mean_field_point(pt: RunPoint, idx: int) -> dict:
         "alpha": [pt.alpha.real, pt.alpha.imag],
         "port": mf.port,
         "model": pt.model,
-        "phasors": phasors,
-        "samples": samples,
+        "phasors": [(mode, omega, ph.real, ph.imag) for mode, omega, ph in series.terms],
+        "samples": list(zip(series.times, series.values)),
     }
 
 
@@ -158,30 +165,49 @@ def run_points(rc: RunConfig) -> list[dict]:
 
 
 def emit_run(command: str, points: list[dict], fmt: str) -> str:
-    """Render run points; each CSV record lists its JSON row's fields in order."""
+    """Render run points, each record kind through one % layout.
+
+    A point maps its fields to values in output order; the `RECORDS` fields
+    hold lists of record tuples.  JSON equals json.dumps(indent=2) of the run
+    with each record tuple as an object of its kind's keys.
+    """
     if fmt == "json":
-        return json.dumps({"command": command, "points": points}, indent=2) + "\n"
-    lines = []
-    if command in ("spectrum", "coherent"):
-        for p in points:
-            i = p["point"]
-            lines.extend("%d,%d,%d,%d,%.17g,%.17g,%.17g" % (i, *r.values()) for r in p["rows"])
-        return _csv("point,port,mode,order,re,im,prob", lines)
-    if command == "two-photon":
-        for p in points:
-            i = p["point"]
-            lines.extend("%d,pair,%d,%d,%d,%d,%.17g,%.17g,%.17g" % (i, *r.values())
-                         for r in p["pairs"])
+        if not points:
+            return json.dumps({"command": command, "points": []}, indent=2) + "\n"
+        body = ",\n".join(map(_json_point, points))
+        return '{\n  "command": %s,\n  "points": [\n%s\n  ]\n}\n' % (json.dumps(command), body)
+    lines = [CSV_HEADERS[command]]
+    for p in points:
+        i = p["point"]
+        for kind, layout in CSV_LAYOUTS.items():
+            lines.extend(map(("%d," % i + layout).__mod__, p.get(kind, ())))
+        if command == "two-photon":
             lines.extend("%d,sector,%s,,,,,,%.17g" % (i, *kv) for kv in p["sectors"].items())
             lines.extend("%d,singular_value,%d,,,,,,%.17g" % (i, *kv)
                          for kv in enumerate(p["singular_values"]))
             lines.append("%d,norm,,,,,,,%.17g" % (i, p["norm"]))
-        return _csv("point,record,k1,k2,k3,k4,re,im,value", lines)
-    for p in points:
-        i = p["point"]
-        lines.extend("%d,phasor,%d,%.17g,,%.17g,%.17g," % (i, *r.values()) for r in p["phasors"])
-        lines.extend("%d,sample,,,%.17g,,,%.17g" % (i, *r.values()) for r in p["samples"])
-    return _csv("point,record,mode,omega,t,re,im,field", lines)
+    return "\n".join(lines) + "\n"
+
+
+def _json_point(point: dict) -> str:
+    fields = ",\n".join(
+        '      "%s": %s' % (key, _json_records(key, value) if key in RECORDS and value else _json_value(value))
+        for key, value in point.items()
+    )
+    return "    {\n%s\n    }" % fields
+
+
+def _json_records(kind: str, records: list[tuple]) -> str:
+    text = "[\n%s\n      ]" % ",\n".join(map(JSON_LAYOUTS[kind].__mod__, records))
+    if "nan" in text or "inf" in text:  # json writes NaN and Infinity
+        keys = [key for key, _conversion in RECORDS[kind]]
+        return _json_value([dict(zip(keys, r)) for r in records])
+    return text
+
+
+def _json_value(value) -> str:
+    """json.dumps(value, indent=2) as it prints as a field of a point."""
+    return json.dumps(value, indent=2).replace("\n", "\n      ")
 
 
 def emit_verify(results: list, scale: float, fmt: str) -> str:
@@ -195,7 +221,7 @@ def emit_verify(results: list, scale: float, fmt: str) -> str:
         return json.dumps(doc, indent=2) + "\n"
     lines = ["%d,%s,%s,%s" % (r.index, r.name, "true" if r.passed else "false", _csv_field(r.detail))
              for r in results]
-    return _csv("index,name,passed,detail", lines)
+    return "\n".join(["index,name,passed,detail", *lines]) + "\n"
 
 
 def _write_output(text: str, out_path: str | None) -> int:

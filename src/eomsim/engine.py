@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,8 +83,8 @@ class TwoPortSpectrum:
         return self.port1 if which == 1 else self.port2
 
     def total_power(self) -> float:
-        return sum(abs(a) ** 2 for a in self.port1.values()) + sum(
-            abs(a) ** 2 for a in self.port2.values()
+        return _sum_in_order([abs(a) ** 2 for a in self.port1.values()]) + _sum_in_order(
+            [abs(a) ** 2 for a in self.port2.values()]
         )
 
     def scaled(self, factor: complex) -> "TwoPortSpectrum":
@@ -91,6 +92,18 @@ class TwoPortSpectrum:
             port1={m: factor * a for m, a in self.port1.items()},
             port2={m: factor * a for m, a in self.port2.items()},
         )
+
+
+class PairTable(NamedTuple):
+    """A two-photon state's pairs as arrays, one entry per pair, in its record field order."""
+
+    port_a: np.ndarray
+    mode_a: np.ndarray
+    port_b: np.ndarray
+    mode_b: np.ndarray
+    re: np.ndarray
+    im: np.ndarray
+    prob: np.ndarray  # (2 if both labels match else 1) * |amplitude|**2
 
 
 @dataclass(frozen=True)
@@ -109,35 +122,55 @@ class TwoPhotonState:
     second: TwoPortSpectrum
 
     @cached_property
-    def amps(self) -> dict[PairKey, complex]:
-        """Nonzero pair amplitudes, in sorted key order."""
+    def pairs(self) -> PairTable:
+        """Nonzero pairs {x, y}, x <= y, in sorted label order, from one array pass.
+
+        Complex products are spelled out in real arithmetic, as Python
+        multiplies complex numbers, with a missing entry as 0.0 + 0.0j; numpy's
+        complex multiply differs in the last digit, by CPU.  Each amplitude is a
+        running sum from 0.0 (a -0.0 product adds as +0.0).  `prob` takes
+        Python's float ** on each modulus: numpy's square and power differ from
+        it in the last digit.
+        """
         first, second = self.first, self.second
         labels = sorted({(p, m) for spec in (first, second) for p in (1, 2) for m in spec.port(p)})
-        rows = [(x, first.port(x[0]).get(x[1], 0.0), second.port(x[0]).get(x[1], 0.0)) for x in labels]
-        out: dict[PairKey, complex] = {}
-        for i, (x, ax, bx) in enumerate(rows):
-            for y, ay, by in rows[i:]:
-                c = 0.0 + ax * by  # a running sum from 0.0: a -0.0 product adds as +0.0
-                if x != y:
-                    c = c + ay * bx
-                if c != 0.0:
-                    out[x, y] = c
-        return out
+        a = np.array([first.port(p).get(m, 0.0) for p, m in labels], dtype=complex)
+        b = np.array([second.port(p).get(m, 0.0) for p, m in labels], dtype=complex)
+        x, y = np.triu_indices(len(labels))
+        ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+        re = 0.0 + (ar[x] * br[y] - ai[x] * bi[y])
+        im = 0.0 + (ar[x] * bi[y] + ai[x] * br[y])
+        off = x != y
+        np.add(re, ar[y] * br[x] - ai[y] * bi[x], out=re, where=off)
+        np.add(im, ar[y] * bi[x] + ai[y] * br[x], out=im, where=off)
+        keep = (re != 0.0) | (im != 0.0)
+        x, y, re, im, off = x[keep], y[keep], re[keep], im[keep], off[keep]
+        squares = np.array([h ** 2 for h in np.hypot(re, im).tolist()])
+        ports = np.array([p for p, _m in labels])
+        modes = np.array([m for _p, m in labels])
+        return PairTable(ports[x], modes[x], ports[y], modes[y], re, im,
+                         np.where(off, 1.0, 2.0) * squares)
+
+    @cached_property
+    def amps(self) -> dict[PairKey, complex]:
+        """Nonzero pair amplitudes, in sorted key order: a dict view of `pairs`."""
+        t = self.pairs
+        pa, ma, pb, mb = (column.tolist() for column in t[:4])
+        label = {x: x for x in zip(pa + pb, ma + mb)}  # keys share one tuple per label
+        keys = zip(map(label.get, zip(pa, ma)), map(label.get, zip(pb, mb)))
+        return dict(zip(keys, map(complex, t.re.tolist(), t.im.tolist())))
 
     def norm_sq(self) -> float:
-        return sum(self.pair_probability(key) for key in self.amps)
-
-    def pair_probability(self, key: PairKey) -> float:
-        x, y = key
-        return (2.0 if x == y else 1.0) * abs(self.amps.get(key, 0.0)) ** 2
+        return _sum_in_order(self.pairs.prob)
 
     def sector_probabilities(self) -> dict[str, float]:
         """Probabilities of both photons on port 1, one per port, both on 2."""
-        out = {"both_port1": 0.0, "split": 0.0, "both_port2": 0.0}
-        for key in self.amps:
-            (p1, _m1), (p2, _m2) = key
-            out[f"both_port{p1}" if p1 == p2 else "split"] += self.pair_probability(key)
-        return out
+        t = self.pairs
+        return {
+            "both_port1": _sum_in_order(t.prob[(t.port_a == 1) & (t.port_b == 1)]),
+            "split": _sum_in_order(t.prob[t.port_a != t.port_b]),
+            "both_port2": _sum_in_order(t.prob[(t.port_a == 2) & (t.port_b == 2)]),
+        }
 
 
 @dataclass(frozen=True)
@@ -325,6 +358,16 @@ def mean_field(
     for _mode, omega, phasor in terms:
         values += 2.0 * (phasor.real * np.cos(omega * tarr) + phasor.imag * np.sin(omega * tarr))
     return MeanFieldSeries(times=tlist, values=tuple(values.tolist()), terms=terms)
+
+
+def _sum_in_order(values) -> float:
+    """Float sum added left to right from 0.0.
+
+    The builtin sum() compensates its rounding from Python 3.12 on, so the
+    printed totals would depend on the interpreter; np.sum adds pairwise.
+    """
+    arr = np.asarray(values, dtype=float)
+    return 0.0 + float(np.add.accumulate(arr)[-1]) if arr.size else 0.0
 
 
 def _resolve(sp: SplitterSpec | SplitterCoeffs) -> SplitterCoeffs:

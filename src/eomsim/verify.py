@@ -168,11 +168,21 @@ def _reciprocity_defect(c: SplitterCoeffs) -> float:
 
 
 @dataclass(frozen=True)
+class Margin:
+    """One measure of a check: its worst defect and the tolerance it must meet."""
+
+    label: str
+    worst: float
+    tolerance: float
+
+
+@dataclass(frozen=True)
 class CheckResult:
     index: int
     name: str
     passed: bool
     detail: str
+    margins: tuple[Margin, ...]
 
 
 def _result(index: int, name: str, measures, note: str = "") -> CheckResult:
@@ -180,17 +190,19 @@ def _result(index: int, name: str, measures, note: str = "") -> CheckResult:
 
     A measure's worst is the largest of its defects (0.0 when there are
     none).  The max propagates NaN, so a NaN defect is the worst and fails.
-    The check passes when every worst is within its tolerance.
+    The check passes when every worst is within its tolerance.  `margins`
+    carries each worst and tolerance as numbers; `detail` prints them to
+    four digits.
     """
-    parts = []
-    passed = True
-    for label, defects, tol in measures:
-        worst = float(np.max(np.asarray(defects, dtype=float), initial=0.0))
-        passed = passed and worst <= tol
-        parts.append(f"{label} {worst:.3e} (tol {tol:.3e})")
+    margins = tuple(
+        Margin(label, float(np.max(np.asarray(defects, dtype=float), initial=0.0)), float(tol))
+        for label, defects, tol in measures
+    )
+    parts = [f"{m.label} {m.worst:.3e} (tol {m.tolerance:.3e})" for m in margins]
     if note:
         parts.append(note)
-    return CheckResult(index=index, name=name, passed=passed, detail="; ".join(parts))
+    return CheckResult(index=index, name=name, passed=all(m.worst <= m.tolerance for m in margins),
+                       detail="; ".join(parts), margins=margins)
 
 
 def check_splitter_laws(scale: float = 1.0) -> CheckResult:
@@ -383,7 +395,8 @@ def check_two_photon(scale: float = 1.0) -> CheckResult:
         if dphi == 0.0:
             second_svs += list(svs[1:2])
         if dphi == math.pi / 2:
-            coalesced += [abs(a) for ((p1, _m1), (p2, _m2)), a in state.amps.items() if p1 != p2]
+            pairs = state.pairs
+            coalesced += np.hypot(pairs.re, pairs.im)[pairs.port_a != pairs.port_b].tolist()
 
     # With a balanced input the one-in-each-arm term cancels, so both photons
     # ride the same arm's ladder.  Distinct RF tones make those ladders
@@ -391,12 +404,10 @@ def check_two_photon(scale: float = 1.0) -> CheckResult:
     cfg = preset("dc_dual",
                  pm1=PMConfig(phi_b=0.0, m=0.5, theta_rf=0.0, tone=2),
                  pm2=PMConfig(phi_b=0.0, m=0.5, theta_rf=0.0, tone=5))
-    state = two_photon_output(cfg, 60)
-    stray = [
-        abs(amp) for ((_p1, m1), (_p2, m2)), amp in state.amps.items()
-        if not ((m1 - 60) % 2 == 0 and (m2 - 60) % 2 == 0)
-        and not ((m1 - 60) % 5 == 0 and (m2 - 60) % 5 == 0)
-    ]
+    pairs = two_photon_output(cfg, 60).pairs
+    offsets_a, offsets_b = pairs.mode_a - 60, pairs.mode_b - 60
+    on_ladder = ((offsets_a % 2 == 0) & (offsets_b % 2 == 0)) | ((offsets_a % 5 == 0) & (offsets_b % 5 == 0))
+    stray = np.hypot(pairs.re, pairs.im)[~on_ladder]
 
     return _result(9, "two_photon", [
         ("balanced input cross-term", crosses, 0.0),

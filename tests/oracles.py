@@ -9,7 +9,9 @@ ladder chain at once, as the reference for the one-chain generator route in
 `eomsim.verify`.  The closed forms below (sideband rungs, a
 coherent splitter, the single-drive Y-branch, the coupler photon pair) are
 written out as explicit expressions rather than calls into the general
-device path, `pair_table_accumulated` sums the pair table product by product,
+device path, `pair_table_loop` builds the pair table by a double loop of
+Python complex products, `pair_table_accumulated` sums it product by product,
+`sum_left` adds floats in a plain loop,
 `schmidt_dense` and `schmidt_range` decompose the full port coefficient
 matrix that `port_entanglement` reads off the two one-photon outputs (by a
 full SVD and by a randomized range finder), and
@@ -214,6 +216,26 @@ def two_photon_dc_closed_form(delta_phi: float, b_row: dict[int, complex]) -> di
     return {k: c for k, c in amps.items() if c != 0.0}
 
 
+def pair_table_loop(first: TwoPortSpectrum, second: TwoPortSpectrum) -> dict:
+    """Pair amplitudes by a double loop of Python complex products over sorted labels.
+
+    For labels x <= y, first_x*second_y from 0.0, plus first_y*second_x when
+    x != y; a missing entry is the float 0.0.  Keeps the nonzero sums, in
+    sorted key order.
+    """
+    labels = sorted({(p, m) for spec in (first, second) for p in (1, 2) for m in spec.port(p)})
+    rows = [(x, first.port(x[0]).get(x[1], 0.0), second.port(x[0]).get(x[1], 0.0)) for x in labels]
+    out: dict = {}
+    for i, (x, ax, bx) in enumerate(rows):
+        for y, ay, by in rows[i:]:
+            c = 0.0 + ax * by  # a running sum from 0.0: a -0.0 product adds as +0.0
+            if x != y:
+                c = c + ay * bx
+            if c != 0.0:
+                out[x, y] = c
+    return out
+
+
 def pair_table_accumulated(first: TwoPortSpectrum, second: TwoPortSpectrum) -> dict:
     """Pair amplitudes by accumulating every product of the two one-photon outputs.
 
@@ -234,6 +256,14 @@ def pair_table_accumulated(first: TwoPortSpectrum, second: TwoPortSpectrum) -> d
                 key = (label_a, label_b) if label_a <= label_b else (label_b, label_a)
                 amps[key] = amps.get(key, 0.0) + amp_a * amp_b
     return {k: c for k, c in amps.items() if c != 0.0}
+
+
+def sum_left(values) -> float:
+    """Float sum added one value at a time, left to right, from 0.0."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def _add(amps: dict, key, val: complex) -> None:

@@ -1,13 +1,16 @@
 import csv
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eomsim import verify
-from eomsim.cli import main
+from eomsim.cli import CSV_HEADERS, RECORDS, emit_run, main, run_points
+from eomsim.config import parse_config
 import regen_goldens
 from regen_goldens import golden_runs
 
@@ -35,6 +38,59 @@ def test_regen_writes_the_checked_in_goldens(monkeypatch, tmp_path):
     assert written == sorted(path.name for path in GOLDEN.iterdir())
     for name in written:
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+def _json_dumps_run(command, points):
+    """The run as json.dumps(indent=2) prints it, each record tuple an object of its kind's keys."""
+    keys = {kind: [key for key, _conversion in fields] for kind, fields in RECORDS.items()}
+    points = [{field: [dict(zip(keys[field], r)) for r in value] if field in RECORDS else value
+               for field, value in p.items()} for p in points]
+    return json.dumps({"command": command, "points": points}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("command, config", sorted({(c, f) for c, f, _golden in golden_runs()}))
+def test_json_writer_equals_json_dumps_on_golden_runs(command, config):
+    points = run_points(parse_config((CONFIGS / config).read_text()))
+    text = emit_run(command, points, "json")
+    assert text == _json_dumps_run(command, points)
+    assert text == (GOLDEN / f"{Path(config).stem}.json").read_text(encoding="utf-8")
+
+
+FLOATS = st.floats() | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
+INTS = st.integers(-(2**70), 2**70)
+SCALARS = (INTS | FLOATS | st.sampled_from(["exact", "optical"]) | st.lists(FLOATS, max_size=3)
+           | st.dictionaries(st.sampled_from(["both_port1", "split", "both_port2"]), FLOATS))
+
+
+@st.composite
+def _runs(draw):
+    points = []
+    for idx in range(draw(st.integers(0, 3))):
+        point = {"point": idx}
+        for field in draw(st.lists(st.sampled_from(["mode_in", "model", "norm", "alpha", "sectors"]),
+                                   unique=True)):
+            point[field] = draw(SCALARS)
+        for kind in draw(st.lists(st.sampled_from(sorted(RECORDS)), unique=True)):
+            record = st.tuples(*(INTS if conversion == "d" else FLOATS
+                                 for _key, conversion in RECORDS[kind]))
+            point[kind] = draw(st.lists(record, max_size=4))
+        points.append(point)
+    return draw(st.sampled_from(sorted(CSV_HEADERS))), points
+
+
+@settings(max_examples=300, deadline=None)
+@given(_runs())
+def test_json_writer_equals_json_dumps(run):
+    command, points = run
+    assert emit_run(command, points, "json") == _json_dumps_run(command, points)
+
+
+def test_json_writer_spells_non_finite_floats_as_json_does():
+    point = {"point": 0, "norm": math.nan, "pairs": [(1, 2, 1, 2, -0.0, math.inf, math.nan)],
+             "samples": [(0.0, -math.inf), (1.5, 2.0)], "phasors": []}
+    text = emit_run("two-photon", [point], "json")
+    assert text == _json_dumps_run("two-photon", [point])
+    assert '"im": Infinity' in text and '"field": -Infinity' in text and '"re": -0.0' in text
 
 
 def test_repeated_runs_are_identical(tmp_path):
@@ -117,7 +173,7 @@ def test_verify_passes_and_reports(tmp_path):
 
 def test_verify_csv_quotes_free_text_detail(tmp_path, monkeypatch):
     detail = 'worst "defect", 1e-3\nsecond line'
-    monkeypatch.setattr(verify, "CHECKS", (lambda scale: verify.CheckResult(1, "quoted", False, detail),))
+    monkeypatch.setattr(verify, "CHECKS", (lambda scale: verify.CheckResult(1, "quoted", False, detail, ()),))
     out = tmp_path / "report.csv"
     assert main(["verify", "--out", str(out)]) == 1
     with open(out, newline="", encoding="utf-8") as fh:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from eomsim.engine import (
     EOMConfig,
     PRESETS,
+    _sum_in_order,
     coherent_output,
     dsb_settings,
     mean_field,
@@ -19,7 +20,7 @@ from eomsim.lattice import decompose_mode, mode_omega
 from eomsim.phase_mod import PMConfig, pm_scatter_row
 from eomsim.splitters import SplitterSpec
 from eomsim.verify import _auto_lattice, composition_oracle
-from oracles import composition_full, single_drive_output
+from oracles import composition_full, single_drive_output, sum_left
 
 
 def _order(mode, n0, tone):
@@ -212,6 +213,27 @@ def test_coherent_output_is_scaled_single_photon():
         for mode in sp:
             assert cp[mode] == alpha * sp[mode]
     assert coh.total_power() == pytest.approx(abs(alpha) ** 2, abs=1e-10)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(-1e300, 1e300), max_size=50))
+def test_sum_in_order_adds_left_to_right(values):
+    assert repr(_sum_in_order(values)) == repr(sum_left(values))
+
+
+def test_sum_in_order_is_neither_pairwise_nor_compensated():
+    values = [1.0] + [1e-16] * 200
+    assert _sum_in_order(values) == 1.0
+    assert math.fsum(values) != 1.0 and float(np.sum(values)) != 1.0
+
+
+@pytest.mark.parametrize("m", [0.4, 5.0, 50.0])
+def test_total_power_adds_each_port_left_to_right(m):
+    cfg = preset("dc_dual", pm1=PMConfig(phi_b=0.3, m=m, theta_rf=0.0, tone=2),
+                 pm2=PMConfig(phi_b=0.0, m=m, theta_rf=0.0, tone=3))
+    out = coherent_output(cfg, 1, 1000, 1.5 - 0.5j)
+    assert out.total_power() == (sum_left(abs(a) ** 2 for a in out.port1.values())
+                                 + sum_left(abs(a) ** 2 for a in out.port2.values()))
 
 
 def test_spectrum_container_helpers():

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from eomsim.engine import PRESETS, port_entanglement, preset, two_photon_output
 from eomsim.phase_mod import PMConfig, Truncation, pm_scatter_row
-from oracles import (pair_table_accumulated, schmidt_dense, schmidt_range,
-                     two_photon_dc_closed_form)
+from oracles import (pair_table_accumulated, pair_table_loop, schmidt_dense, schmidt_range,
+                     sum_left, two_photon_dc_closed_form)
 
 DPHI_GRID = [0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2]
 
@@ -104,8 +104,9 @@ def test_double_occupancy_counts_twice():
     )
     assert state.norm_sq() == pytest.approx(manual, abs=0.0)
     key = ((1, 60), (1, 60))
-    if key in state.amps:
-        assert state.pair_probability(key) == pytest.approx(2.0 * abs(state.amps[key]) ** 2)
+    assert key in state.amps
+    row = list(state.amps).index(key)
+    assert state.pairs.prob[row] == 2.0 * abs(state.amps[key]) ** 2
 
 
 def test_truncation_propagates_to_pairs():
@@ -164,6 +165,59 @@ def test_spectrum_does_not_build_the_pair_table():
     svs = port_entanglement(state)
     assert len(svs) == 4
     assert "amps" not in vars(state)
+    assert "pairs" not in vars(state)
+
+
+# (preset, arm-1 bias, m, tones, n0): the depth cap, a small sweep point, the
+# lattice wall inside the window and a wide window of two interleaved ladders
+PAIR_STATES = {
+    "depth-cap": ("dc_dual", 0.3, 50.0, (2, 3), 1000),
+    "dc-m0.4-n60": ("dc_dual", 0.3, 0.4, (2, 5), 60),
+    "wall-n2": ("dc_dual", 0.3, 1.5, (2, 3), 2),
+    "yb-tones3/5-m5": ("yb_dual", 0.3, 5.0, (3, 5), 100),
+}
+
+
+def _assert_pairs_match_loop(state):
+    want = pair_table_loop(state.first, state.second)
+    assert list(state.amps) == list(want)
+    # == treats -0.0 and 0.0 alike; repr tells them apart
+    assert [repr(c) for c in state.amps.values()] == [repr(c) for c in want.values()]
+    t = state.pairs
+    labels = zip(zip(t.port_a.tolist(), t.mode_a.tolist()), zip(t.port_b.tolist(), t.mode_b.tolist()))
+    assert list(labels) == list(want)
+    assert t.prob.tolist() == [(2.0 if x == y else 1.0) * abs(c) ** 2 for (x, y), c in want.items()]
+
+
+@pytest.mark.parametrize("name, bias, m, tones, n0", PAIR_STATES.values(), ids=PAIR_STATES)
+def test_pair_arrays_match_the_python_loop(name, bias, m, tones, n0):
+    _assert_pairs_match_loop(two_photon_output(_pair_device(name, bias, m, tones), n0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    name=st.sampled_from(PRESETS),
+    tones=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    bias=st.floats(-math.pi, math.pi),
+    m=st.floats(1e-3, 5.0),
+    n0=st.integers(1, 300),
+    model=st.sampled_from(["exact", "optical"]),
+)
+def test_pair_arrays_match_the_python_loop_on_random_devices(name, tones, bias, m, n0, model):
+    _assert_pairs_match_loop(two_photon_output(_pair_device(name, bias, m, tones), n0, model=model))
+
+
+@pytest.mark.parametrize("name, bias, m, tones, n0", PAIR_STATES.values(), ids=PAIR_STATES)
+def test_norm_and_sectors_add_pairs_left_to_right(name, bias, m, tones, n0):
+    state = two_photon_output(_pair_device(name, bias, m, tones), n0)
+    probs = [((x[0], y[0]), (2.0 if x == y else 1.0) * abs(c) ** 2)
+             for (x, y), c in pair_table_loop(state.first, state.second).items()]
+    assert state.norm_sq() == sum_left(p for _ports, p in probs)
+    assert state.sector_probabilities() == {
+        "both_port1": sum_left(p for ports, p in probs if ports == (1, 1)),
+        "split": sum_left(p for ports, p in probs if ports == (1, 2)),
+        "both_port2": sum_left(p for ports, p in probs if ports == (2, 2)),
+    }
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,5 +1,6 @@
 """The verify result builder: every measure is reported and a NaN defect fails."""
 
+import json
 import math
 import re
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from eomsim import verify
+from eomsim.cli import emit_verify
 
 # one measure in a check's detail: "label worst (tol T)"
 MEASURE = re.compile(r"(?:^|; )([^;]+?) (\S+) \(tol (\S+)\)")
@@ -19,13 +21,32 @@ def _measures(detail):
 def test_result_reports_every_measure_and_note():
     result = verify._result(4, "demo", [("a", [1e-3, 2e-3], 1e-2), ("b", [], 0.0)], note="n")
     assert result == verify.CheckResult(
-        4, "demo", True, "a 2.000e-03 (tol 1.000e-02); b 0.000e+00 (tol 0.000e+00); n")
+        4, "demo", True, "a 2.000e-03 (tol 1.000e-02); b 0.000e+00 (tol 0.000e+00); n",
+        (verify.Margin("a", 2e-3, 1e-2), verify.Margin("b", 0.0, 0.0)))
 
 
 def test_result_nan_defect_is_the_worst_and_fails():
     result = verify._result(1, "demo", [("a", [0.0, math.nan, 1.0], 1e300)])
     assert not result.passed
     assert result.detail == "a nan (tol 1.000e+300)"
+
+
+def test_margins_carry_the_figures_detail_rounds():
+    # at a tenth of the tolerances, check 10's first measure prints as met and fails
+    results = verify.run_all(0.1)
+    check = results[9]
+    assert check.name == "small_signal" and not check.passed
+    margin = check.margins[0]
+    assert margin.label == "relative defect"
+    assert margin.worst == pytest.approx(1.0000007499912024e-06, rel=1e-9)
+    assert margin.tolerance == 1e-5 * 0.1
+    assert margin.worst > margin.tolerance
+    assert check.detail.startswith("relative defect 1.000e-06 (tol 1.000e-06); ")
+    report = json.loads(emit_verify(results, 0.1, "json"))
+    assert report["checks"][9]["margins"][0] == {
+        "label": "relative defect", "worst": margin.worst, "tolerance": margin.tolerance}
+    for result, doc in zip(results, report["checks"]):
+        assert [m["label"] for m in doc["margins"]] == [label for label, _w, _t in _measures(result.detail)]
 
 
 @pytest.mark.parametrize("check", [verify.check_scatter_unitarity, verify.check_optical_limit],
