@@ -35,6 +35,9 @@ _MAX_INDEX = 50.0
 
 _MAX_MARGIN = 400
 
+# orders past the Bessel bound's estimate that the halfwidth scan still reads
+_BOUND_SLACK = 4
+
 
 def phase_factor(angle: float) -> complex:
     """exp(j angle), exact on the quarter-turn grid.
@@ -104,6 +107,11 @@ class MultitonePMConfig:
     single-tone model linearizes to (J_1(m) ~ m/2).  Comparisons against the
     exact model must match conventions; "full" at index m corresponds to the
     exact model at index 2m.
+
+    The row is not normalised.  When no two sidebands share a mode its power
+    is 1 + 2*sum_k (scale*m_k)^2, scale being 1 ("full") or 1/2 ("half"), so
+    it is meaningful only for m_k << 1; the m_k <= 50 cap bounds the input,
+    not the error of the first-order form.
     """
 
     phi_b: float
@@ -155,13 +163,27 @@ def ladder_phase(s: int, theta_rf: float) -> complex:
 
 
 def retained_halfwidth(m: float, truncation: Truncation) -> int:
-    """Half-width of the retained sideband window for modulation index m."""
+    """Half-width of the retained sideband window for modulation index m.
+
+    The window ends at the first order s > int(m) whose |J_s(m)| falls below
+    eps, plus `margin`.  The scan reads one Bessel array, sized by the bound
+    |J_s(m)| <= (m/2)^s / s! (DLMF 10.14.4): the array reaches the first
+    order past int(m) where that bound drops below eps, plus `_BOUND_SLACK`
+    orders so that rounding in lgamma cannot cut it short.  The recurrence's
+    length therefore follows the window, not a fixed int(m) + 401 orders.
+    """
     if m == 0.0:
         return truncation.margin
+    # log(m) - log(2), not log(m/2): half of the smallest subnormal is 0.0
+    log_half_m = math.log(m) - math.log(2.0)
+    log_eps = math.log(truncation.eps)
+    bound = int(m) + 1
+    while bound * log_half_m - math.lgamma(bound + 1) >= log_eps:
+        bound += 1
     # scan past the turning point, where J_s(m) decays monotonically in s;
-    # for m <= 50 it underflows to 0.0 before order int(m) + 362, so the scan
-    # stops inside the array for every eps > 0
-    top = int(m) + 401
+    # for m <= 50 it underflows to 0.0 before order int(m) + 362 and stays
+    # under the bound, so the scan stops inside the array for every eps > 0
+    top = min(int(m) + 401, bound + _BOUND_SLACK)
     jarr = bessel_j_array(top, m)
     s = int(m) + 1
     while s < top and abs(jarr[s]) >= truncation.eps:

@@ -11,6 +11,9 @@ This module also owns the generator route, the battery's independent
 reference: the splitter tables, the phase-modulator rows and the whole
 device rebuilt from exponentials of their Hermitian generators
 (``unitary_exp``), with no Bessel function and none of the closed-form code.
+Each modulator arm exponentiates only its carrier's ladder chain, on a
+lattice sized by that arm's own retained window, so the oracle's cost follows
+the window rather than the other arm's tone.
 
 Tolerances may be loosened or tightened globally through ``tolerance_scale``;
 the shipped defaults are what the package is expected to meet.
@@ -123,18 +126,22 @@ def composition_oracle(cfg: EOMConfig, input_port: int, n0: int) -> TwoPortSpect
     """Brute-force reference: raw matrix product of the three stages.
 
     Applies the input splitter table, the arm generator exponentials and the
-    output table to the basis vector of (port, n0), on a lattice comfortably
-    larger than every occupied ladder.  Shares no code with the closed-form
-    path beyond the splitter tables themselves; disagreement beyond
-    truncation error means the closed forms are wrong.
+    output table to the basis vector of (port, n0).  Each driven arm
+    exponentiates its own chain lattice 1..max(n0 + 8, (q0 + hw + 12) N),
+    with that arm's carrier rung q0, retained half-width hw and tone N, so
+    every arm keeps hw + 12 rungs past its carrier and none exponentiates
+    modes that only the other arm reaches.  Modes beyond an arm's lattice
+    count as zero in that arm.  Shares no code with the closed-form path
+    beyond the splitter tables themselves; disagreement beyond truncation
+    error means the closed forms are wrong.
     """
     if input_port not in (1, 2):
         raise ValueError(f"port must be 1 or 2, got {input_port!r}")
     arms = (cfg.pm1, cfg.pm2)
     if any(isinstance(arm, MultitonePMConfig) for arm in arms):
         raise ValueError("composition oracle requires exact single-tone or undriven arms")
-    n_max = _auto_lattice(cfg, n0)
-    rows = [{n0: 1.0 + 0.0j} if arm is None else pm_generator_oracle(arm, n0, n_max) for arm in arms]
+    rows = [{n0: 1.0 + 0.0j} if arm is None else pm_generator_oracle(arm, n0, _arm_lattice(arm, n0))
+            for arm in arms]
     modes = sorted(rows[0].keys() | rows[1].keys())
     arm_vecs = np.array([[row.get(n, 0.0) for n in modes] for row in rows], dtype=np.complex128)
     mat_in = cfg.coeffs_in().as_matrix()
@@ -145,14 +152,10 @@ def composition_oracle(cfg: EOMConfig, input_port: int, n0: int) -> TwoPortSpect
     return TwoPortSpectrum(port1=port1, port2=port2)
 
 
-def _auto_lattice(cfg: EOMConfig, n0: int) -> int:
-    top = n0 + 8
-    for arm in (cfg.pm1, cfg.pm2):
-        if isinstance(arm, PMConfig):
-            dec = decompose_mode(n0, arm.tone)
-            hw = retained_halfwidth(arm.m, Truncation())
-            top = max(top, (dec.q0 + hw + 12) * arm.tone)
-    return top
+def _arm_lattice(arm: PMConfig, n0: int) -> int:
+    dec = decompose_mode(n0, arm.tone)
+    hw = retained_halfwidth(arm.m, Truncation())
+    return max(n0 + 8, (dec.q0 + hw + 12) * arm.tone)
 
 
 def _reciprocity_defect(c: SplitterCoeffs) -> float:
@@ -298,13 +301,10 @@ def check_ssb_cancellation(scale: float = 1.0) -> CheckResult:
     return _result(6, "ssb_cancellation", [("cancelled sideband", residues, 1e-14 * scale)])
 
 
-def check_randomized_closure(scale: float = 1.0) -> CheckResult:
-    """Random devices conserve probability and match the matrix-product oracle."""
-    tol = 1e-8 * scale
+def closure_trials():
+    """The 50 seeded random devices of check 7, as (cfg, input_port, n0)."""
     rng = np.random.default_rng(20240817)
-    norms = []
-    diffs = []
-    for trial in range(50):
+    for _ in range(50):
         tone1 = int(rng.choice([1, 1, 2, 2, 3, 3, 5, 7]))
         tone2 = tone1 if rng.random() < 0.7 else int(rng.choice([1, 2, 3, 5, 7]))
         q0 = int(rng.integers(8, 21))
@@ -330,7 +330,15 @@ def check_randomized_closure(scale: float = 1.0) -> CheckResult:
 
         cfg = EOMConfig(splitter_in=rand_spec(), splitter_out=rand_spec(),
                         pm1=rand_arm(tone1), pm2=rand_arm(tone2))
-        port = int(rng.integers(1, 3))
+        yield cfg, int(rng.integers(1, 3)), n0
+
+
+def check_randomized_closure(scale: float = 1.0) -> CheckResult:
+    """Random devices conserve probability and match the matrix-product oracle."""
+    tol = 1e-8 * scale
+    norms = []
+    diffs = []
+    for cfg, port, n0 in closure_trials():
         out = single_photon_output(cfg, port, n0)
         norms.append(abs(out.total_power() - 1.0))
         oracle = composition_oracle(cfg, port, n0)

@@ -11,7 +11,9 @@ coherent splitter, the single-drive Y-branch, the coupler photon pair) are
 written out as explicit expressions rather than calls into the general
 device path, `pair_table_loop` builds the pair table by a double loop of
 Python complex products, `pair_table_accumulated` sums it product by product,
-`sum_left` adds floats in a plain loop,
+`sum_left` adds floats in a plain loop, `halfwidth_full_scan` finds the
+retained window in one fixed-length Bessel array that ignores eps,
+`shared_lattice` sizes one generator lattice for both arms,
 `schmidt_dense` and `schmidt_range` decompose the full port coefficient
 matrix that `port_entanglement` reads off the two one-photon outputs (by a
 full SVD and by a randomized range finder), and
@@ -20,13 +22,15 @@ time with stdlib trigonometry.
 """
 
 import cmath
+import functools
 import math
 
 import numpy as np
 
 from eomsim.engine import MeanFieldSeries, TwoPhotonState, TwoPortSpectrum
-from eomsim.lattice import TWO_PI, mode_omega
-from eomsim.phase_mod import PMConfig, pm_scatter_row
+from eomsim.lattice import TWO_PI, decompose_mode, mode_omega
+from eomsim.phase_mod import PMConfig, Truncation, pm_scatter_row, retained_halfwidth
+from eomsim.special import bessel_j_array
 from eomsim.verify import unitary_exp
 
 
@@ -135,6 +139,44 @@ def composition_full(cfg, input_port: int, n0: int, n_max: int) -> np.ndarray:
         mat_out[0, 0] * arm1 + mat_out[1, 0] * arm2,
         mat_out[0, 1] * arm1 + mat_out[1, 1] * arm2,
     ])
+
+
+def halfwidth_full_scan(m: float, truncation: Truncation) -> int:
+    """Retained half-width from one Bessel array of int(m) + 401 orders.
+
+    The array length does not depend on eps: for m <= 50 every J_s(m) past
+    order int(m) + 361 is 0.0, so the scan always stops inside it.
+    """
+    if m == 0.0:
+        return truncation.margin
+    top = int(m) + 401
+    jarr = _full_scan_array(m)
+    s = int(m) + 1
+    while s < top and abs(jarr[s]) >= truncation.eps:
+        s += 1
+    return s + truncation.margin
+
+
+@functools.lru_cache(maxsize=1)
+def _full_scan_array(m: float) -> np.ndarray:
+    # one array per depth, reused while a test scans it for several eps
+    return bessel_j_array(int(m) + 401, m)
+
+
+def shared_lattice(cfg, n0: int) -> int:
+    """One lattice 1..n_max for both arms, sized by the arm that reaches highest.
+
+    Each driven arm needs `hw + 12` rungs of its own tone past its carrier
+    rung q0; the shared lattice takes the largest of those tops, so an arm
+    with the smaller tone exponentiates modes it never reaches.
+    """
+    top = n0 + 8
+    for arm in (cfg.pm1, cfg.pm2):
+        if isinstance(arm, PMConfig):
+            dec = decompose_mode(n0, arm.tone)
+            hw = retained_halfwidth(arm.m, Truncation())
+            top = max(top, (dec.q0 + hw + 12) * arm.tone)
+    return top
 
 
 def sideband_mode(q: int, tone: int, r0: int) -> int:

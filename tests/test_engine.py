@@ -19,8 +19,9 @@ from eomsim.engine import (
 from eomsim.lattice import decompose_mode, mode_omega
 from eomsim.phase_mod import PMConfig, pm_scatter_row
 from eomsim.splitters import SplitterSpec
-from eomsim.verify import _auto_lattice, composition_oracle
-from oracles import composition_full, single_drive_output, sum_left
+from eomsim import verify
+from eomsim.verify import closure_trials, composition_oracle
+from oracles import composition_full, shared_lattice, single_drive_output, sum_left
 
 
 def _order(mode, n0, tone):
@@ -155,21 +156,35 @@ def test_mixed_tone_arms_interleave_ladders():
 )
 @pytest.mark.parametrize("port", [1, 2])
 def test_composition_oracle_matches_full_lattice(tone1, tone2, n0, m, port):
-    # each arm exponentiates only the carrier's own chain; the reference
-    # exponentiates the whole lattice on the same modes 1..n_max
+    # each arm exponentiates only the carrier's own chain, on a lattice sized
+    # by its own window; the reference exponentiates the whole lattice on the
+    # modes 1..n_max that the arm reaching highest needs, for both arms
     cfg = EOMConfig(
         splitter_in=SplitterSpec(kind="dc", k=0.3),
         splitter_out=SplitterSpec(kind="yb", k=0.6, reverse=True),
         pm1=PMConfig(phi_b=0.7, m=m, theta_rf=0.4, tone=tone1),
         pm2=PMConfig(phi_b=-0.2, m=0.5 * m, theta_rf=-1.3, tone=tone2),
     )
-    n_max = _auto_lattice(cfg, n0)
+    n_max = shared_lattice(cfg, n0)
     full = composition_full(cfg, port, n0, n_max)
     got = composition_oracle(cfg, port, n0)
     for idx, row in enumerate((got.port1, got.port2)):
         assert set(row) <= set(range(1, n_max + 1))
         worst = max(abs(row.get(mode, 0.0) - full[idx, mode - 1]) for mode in range(1, n_max + 1))
         assert worst < 1e-13
+
+
+def test_per_arm_lattices_match_shared_lattice_on_closure_trials(monkeypatch):
+    # check 7's devices, mixed tones included: sizing each arm's lattice by
+    # its own window loses nothing against one lattice for both arms
+    for cfg, port, n0 in closure_trials():
+        got = composition_oracle(cfg, port, n0)
+        n_max = shared_lattice(cfg, n0)
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, "_arm_lattice", lambda arm, carrier: n_max)
+            want = composition_oracle(cfg, port, n0)
+        for gp, wp in ((got.port1, want.port1), (got.port2, want.port2)):
+            assert max(abs(gp.get(mode, 0.0) - wp.get(mode, 0.0)) for mode in set(gp) | set(wp)) < 1e-13
 
 
 def test_single_drive_closed_form_matches_general_path():

@@ -56,6 +56,18 @@ def test_sideband_amplitude_is_linear_in_depth():
     assert row2[97] == pytest.approx(2.0 * row1[97], rel=1e-14)
 
 
+@pytest.mark.parametrize("convention, scale", [("full", 1.0), ("half", 0.5)])
+@pytest.mark.parametrize("depths", [(1e-3,), (0.05, 0.03), (50.0, 2.0, 0.7)])
+def test_multitone_row_power_is_not_normalised(convention, scale, depths):
+    # distinct tones put every sideband on its own mode, so the first-order
+    # row's power is 1 + 2 sum (scale m_k)^2, far from 1 unless every m_k << 1
+    tones = tuple(ToneDrive(m=m, theta_rf=0.3 * k, tone=k + 1) for k, m in enumerate(depths))
+    row = pm_multitone_row(200, MultitonePMConfig(phi_b=0.6, tones=tones, convention=convention))
+    assert len(row) == 1 + 2 * len(depths)
+    power = sum(abs(amp) ** 2 for amp in row.values())
+    assert power == pytest.approx(1.0 + 2.0 * sum((scale * m) ** 2 for m in depths), rel=1e-14)
+
+
 def test_multitone_device_output_carries_every_tone():
     arm = MultitonePMConfig(
         phi_b=math.pi / 2,

@@ -22,7 +22,7 @@ from eomsim.phase_mod import (
 from eomsim.special import bessel_j_array
 from eomsim.verify import pm_generator_oracle
 
-from oracles import bessel_reference, pm_generator_full
+from oracles import bessel_reference, halfwidth_full_scan, pm_generator_full
 
 # Scattering amplitudes frozen from the defining expression evaluated at
 # 40-digit precision: prefactor exp(j phi_b) (j exp(j theta))^(q-q0) times
@@ -208,6 +208,11 @@ def test_scatter_row_matches_full_array_row(m, tr, model):
 def test_scatter_cost_does_not_grow_with_carrier(monkeypatch):
     m = 50.0
     hw = retained_halfwidth(m, Truncation())
+    # the halfwidth scan reads orders up to the first s > int(m) whose bound
+    # (m/2)^s / s! on |J_s(m)| drops below eps, plus a few slack orders
+    bound = int(m) + 1
+    while mpmath.mpf(m / 2) ** bound / mpmath.factorial(bound) >= Truncation().eps:
+        bound += 1
     real = phase_mod.bessel_j_array
     requests = []
 
@@ -219,7 +224,7 @@ def test_scatter_cost_does_not_grow_with_carrier(monkeypatch):
 
     monkeypatch.setattr(phase_mod, "bessel_j_array", recorder)
     row = pm_scatter_row(10**9, PMConfig(0.1, m, 0.2, 1))
-    assert requests == [int(m) + 401, hw + int(m) + 80]
+    assert requests == [bound + phase_mod._BOUND_SLACK, hw + int(m) + 80]
     assert len(row) <= 2 * hw + 1
     assert sum(abs(v) ** 2 for v in row.values()) == pytest.approx(1.0, abs=1e-11)
 
@@ -248,6 +253,29 @@ def test_retained_halfwidth_matches_mpmath(m, eps):
     while abs(mpmath.besselj(s, m)) >= eps:
         s += 1
     assert retained_halfwidth(m, Truncation(eps=eps, margin=0)) == s
+
+
+HALFWIDTH_EPS = (0.5, 1e-5, 1e-12, 1e-100, 1e-300)
+
+
+def _assert_halfwidth_matches_full_scan(m):
+    for eps in HALFWIDTH_EPS:
+        tr = Truncation(eps=eps, margin=0)
+        assert retained_halfwidth(m, tr) == halfwidth_full_scan(m, tr), (m, eps)
+
+
+def test_bounded_halfwidth_scan_matches_full_scan_on_dense_grid():
+    # the scan's array is sized by the Bessel bound, so it must stop where a
+    # scan over the fixed int(m) + 401 orders stops, for every depth and eps
+    grid = np.exp(np.linspace(math.log(1e-6), math.log(50.0), 2000)).tolist()
+    for m in grid + [5e-324, 1e-300, 1e-8, 50.0]:
+        _assert_halfwidth_matches_full_scan(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.floats(0.0, 50.0))
+def test_bounded_halfwidth_scan_matches_full_scan(m):
+    _assert_halfwidth_matches_full_scan(m)
 
 
 def test_truncation_controls_row_size():
