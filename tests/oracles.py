@@ -5,12 +5,14 @@ uses only numpy arithmetic.  Each deliberately avoids the algorithm used
 inside the package (backward recurrence, eigendecomposition), so an agreement
 between the two is meaningful.  `pm_generator_full` and `composition_full`
 exponentiate the hopping generator over the whole lattice 1..n_max, every
-ladder chain at once, as the reference for the one-chain generator route in
-`eomsim.verify`.  The closed forms below (sideband rungs, a
-coherent splitter, the single-drive Y-branch, the coupler photon pair) are
-written out as explicit expressions rather than calls into the general
-device path, `pair_table_loop` builds the pair table by a double loop of
-Python complex products, `pair_table_accumulated` sums it product by product,
+ladder chain at once, and `pm_generator_chain_eigh` exponentiates the
+carrier's chain alone by a Hermitian eigendecomposition; both are references
+for the exact-eigenbasis row of `eomsim.verify.pm_generator_oracle`.
+The closed forms below (sideband rungs, a coherent splitter, the
+single-drive Y-branch, the coupler photon pair) are written out as explicit
+expressions rather than calls into the general device path,
+`pair_table_loop` builds the pair table by a double loop of Python complex
+products, `pair_table_accumulated` sums it product by product,
 `sum_left` adds floats in a plain loop, `halfwidth_full_scan` finds the
 retained window in one fixed-length Bessel array that ignores eps,
 `shared_lattice` sizes one generator lattice for both arms,
@@ -115,6 +117,21 @@ def pm_generator_full(cfg: PMConfig, n_max: int) -> np.ndarray:
         gen[i, i + cfg.tone] = chi
         gen[i + cfg.tone, i] = chi.conjugate()
     return unitary_exp(gen)
+
+
+def pm_generator_chain_eigh(cfg: PMConfig, n0: int, n_max: int) -> dict[int, complex]:
+    """Row n0 of exp(jG) from the carrier's chain, through `unitary_exp`.
+
+    Builds the tridiagonal generator of the chain n0 + kN inside 1..n_max
+    (bias phi_b, hopping chi = exp(j theta_rf) m / 2) and exponentiates the
+    whole chain by LAPACK eigh, then keeps the carrier's row as
+    {mode: amplitude}.
+    """
+    modes = range((n0 - 1) % cfg.tone + 1, n_max + 1, cfg.tone)
+    hop = np.full(len(modes) - 1, 0.5 * cfg.m * cmath.exp(1j * cfg.theta_rf))
+    gen = np.diag(np.full(len(modes), cfg.phi_b, dtype=np.complex128))
+    gen += np.diag(hop, 1) + np.diag(hop.conj(), -1)
+    return dict(zip(modes, unitary_exp(gen)[modes.index(n0)].tolist()))
 
 
 def composition_full(cfg, input_port: int, n0: int, n_max: int) -> np.ndarray:

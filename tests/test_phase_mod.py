@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import mpmath
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eomsim import phase_mod
+from eomsim import phase_mod, special
 from eomsim.lattice import decompose_mode
 from eomsim.phase_mod import (
     MultitonePMConfig,
@@ -22,7 +23,7 @@ from eomsim.phase_mod import (
 from eomsim.special import bessel_j_array
 from eomsim.verify import pm_generator_oracle
 
-from oracles import bessel_reference, halfwidth_full_scan, pm_generator_full
+from oracles import bessel_reference, halfwidth_full_scan, pm_generator_chain_eigh, pm_generator_full
 
 # Scattering amplitudes frozen from the defining expression evaluated at
 # 40-digit precision: prefactor exp(j phi_b) (j exp(j theta))^(q-q0) times
@@ -165,6 +166,59 @@ def test_generator_chain_rejects_carrier_off_the_lattice():
         pm_generator_oracle(cfg, 11, 10)
     with pytest.raises(ValueError):
         pm_generator_oracle(cfg, 0, 10)
+
+
+def _chain_lattice(tone, n0, size):
+    # the lattice 1..n_max on which the carrier n0's chain has `size` modes
+    return (n0 - 1) % tone + 1 + (size - 1) * tone
+
+
+def _worst_against_eigh(cfg, n0, n_max):
+    got = pm_generator_oracle(cfg, n0, n_max)
+    want = pm_generator_chain_eigh(cfg, n0, n_max)
+    assert list(got) == list(want)
+    return max(abs(got[mode] - want[mode]) for mode in want)
+
+
+@pytest.mark.parametrize("m", [1e-6, 0.4, 2.0, 7.0, 50.0])
+def test_eigenbasis_row_matches_chain_eigh(m):
+    # the closed-form sine eigenbasis against a LAPACK eigendecomposition of
+    # the same chain generator, carriers at the wall and far from it
+    for tone, q0, size in itertools.product((1, 2, 3, 5, 7), (1, 2, 3, 40), (1, 2, 3, 17, 64, 300)):
+        if q0 > size:
+            continue
+        n0 = q0 * tone - q0 % tone
+        cfg = PMConfig(phi_b=0.4, m=m, theta_rf=1.1, tone=tone)
+        assert _worst_against_eigh(cfg, n0, _chain_lattice(tone, n0, size)) < 1e-13
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    m=st.floats(0.0, 50.0, allow_nan=False),
+    phi_b=st.floats(-math.pi, math.pi),
+    theta_rf=st.floats(-math.pi, math.pi),
+    tone=st.integers(1, 7),
+    r0=st.integers(0, 6),
+    q0=st.integers(1, 60),
+    extra=st.integers(0, 140),
+)
+def test_eigenbasis_row_matches_chain_eigh_drawn(m, phi_b, theta_rf, tone, r0, q0, extra):
+    n0 = q0 * tone - r0 % tone
+    cfg = PMConfig(phi_b=phi_b, m=m, theta_rf=theta_rf, tone=tone)
+    size = decompose_mode(n0, tone).q0 + extra
+    assert _worst_against_eigh(cfg, n0, _chain_lattice(tone, n0, size)) < 1e-13
+
+
+def test_eigenbasis_row_uses_no_bessel_code(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the generator route must not evaluate a Bessel function")
+
+    monkeypatch.setattr(special, "bessel_j_array", refuse)
+    monkeypatch.setattr(phase_mod, "bessel_j_array", refuse)
+    cfg = PMConfig(phi_b=0.4, m=2.0, theta_rf=1.1, tone=2)
+    assert _worst_against_eigh(cfg, 3, 80) < 1e-13
+    with pytest.raises(AssertionError):
+        pm_scatter_row(3, cfg)
 
 
 def _full_array_row(n0, cfg, tr, model):
