@@ -51,9 +51,9 @@ def _csv_field(text: str) -> str:
 
 
 # The record kinds of a run point: per kind, its JSON keys and their %
-# conversions, in the order of the point's record tuples.  No key holds "nan"
-# or "inf", which is how %r spells the non-finite floats that json writes as
-# NaN and Infinity.
+# conversions, in the order of the point's record tuples.  No key, %d integer
+# or finite %r float holds an "n", while %r spells the non-finite floats "nan"
+# and "inf", which json writes as NaN and Infinity.
 RECORDS = {
     "rows": (("port", "d"), ("mode", "d"), ("order", "d"), ("re", "r"), ("im", "r"), ("prob", "r")),
     "pairs": (("port_a", "d"), ("mode_a", "d"), ("port_b", "d"), ("mode_b", "d"),
@@ -199,7 +199,7 @@ def _json_point(point: dict) -> str:
 
 def _json_records(kind: str, records: list[tuple]) -> str:
     text = "[\n%s\n      ]" % ",\n".join(map(JSON_LAYOUTS[kind].__mod__, records))
-    if "nan" in text or "inf" in text:  # json writes NaN and Infinity
+    if "n" in text:  # a "nan" or "inf", which json writes as NaN and Infinity
         keys = [key for key, _conversion in RECORDS[kind]]
         return _json_value([dict(zip(keys, r)) for r in records])
     return text

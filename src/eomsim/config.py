@@ -17,6 +17,8 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .engine import EOMConfig, dsb_settings, preset, ssb_settings, PRESETS
 from .lattice import decompose_mode, mode_omega
 from .phase_mod import (MultitonePMConfig, PMConfig, ToneDrive, Truncation, pm_multitone_row,
@@ -207,7 +209,7 @@ def _resolve_point(doc: dict, command: str, prefix: str) -> RunPoint:
             step = (t1 - t0) / (ns - 1)
             if not math.isfinite(step):
                 raise ConfigError(f"{here}.t_stop: t_stop - t_start must be finite")
-            times = tuple(t0 + k * step for k in range(ns))
+            times = tuple((t0 + np.arange(ns) * step).tolist())
         reach = [_reach(arm, n0, truncation) for arm in (eom.pm1, eom.pm2)]
         try:
             omega = mode_omega(max(top for top, _ in reach), nu, length)

@@ -46,29 +46,29 @@ class EOMConfig:
     """Amplitude modulator: two splitters and up to two modulator arms.
 
     An arm set to None is an undriven delay-free waveguide (identity).
-    Splitters may be given as specs or as explicit coefficient tables.
+    Splitters are specs; their coefficient tables come from `splitter_coeffs`.
     """
 
-    splitter_in: SplitterSpec | SplitterCoeffs
-    splitter_out: SplitterSpec | SplitterCoeffs
+    splitter_in: SplitterSpec
+    splitter_out: SplitterSpec
     pm1: PMConfig | MultitonePMConfig | None = None
     pm2: PMConfig | MultitonePMConfig | None = None
 
     def __post_init__(self) -> None:
         for name in ("splitter_in", "splitter_out"):
             val = getattr(self, name)
-            if not isinstance(val, (SplitterSpec, SplitterCoeffs)):
-                raise ValueError(f"{name} must be a SplitterSpec or SplitterCoeffs")
+            if not isinstance(val, SplitterSpec):
+                raise ValueError(f"{name} must be a SplitterSpec")
         for name in ("pm1", "pm2"):
             val = getattr(self, name)
             if val is not None and not isinstance(val, (PMConfig, MultitonePMConfig)):
                 raise ValueError(f"{name} must be PMConfig, MultitonePMConfig or None")
 
     def coeffs_in(self) -> SplitterCoeffs:
-        return _resolve(self.splitter_in)
+        return splitter_coeffs(self.splitter_in)
 
     def coeffs_out(self) -> SplitterCoeffs:
-        return _resolve(self.splitter_out)
+        return splitter_coeffs(self.splitter_out)
 
 
 @dataclass(frozen=True)
@@ -348,16 +348,15 @@ def mean_field(
     verify check 10 recomputes and compares for exact equality.
     """
     amps = spectrum.port(port)
-    terms = tuple(
-        (mode, mode_omega(mode, nu, length), 1j * field_scale * math.sqrt(mode_omega(mode, nu, length)) * amps[mode])
-        for mode in sorted(amps)
-    )
-    tlist = tuple(float(t) for t in times)
-    tarr = np.array(tlist)
-    values = np.zeros(len(tlist))
+    omegas = {mode: mode_omega(mode, nu, length) for mode in sorted(amps)}
+    terms = tuple((mode, omega, 1j * field_scale * math.sqrt(omega) * amps[mode])
+                  for mode, omega in omegas.items())
+    tarr = np.asarray(times, dtype=float)
+    values = np.zeros(len(tarr))
     for _mode, omega, phasor in terms:
-        values += 2.0 * (phasor.real * np.cos(omega * tarr) + phasor.imag * np.sin(omega * tarr))
-    return MeanFieldSeries(times=tlist, values=tuple(values.tolist()), terms=terms)
+        phase = omega * tarr
+        values += 2.0 * (phasor.real * np.cos(phase) + phasor.imag * np.sin(phase))
+    return MeanFieldSeries(times=tuple(tarr.tolist()), values=tuple(values.tolist()), terms=terms)
 
 
 def _sum_in_order(values) -> float:
@@ -368,10 +367,6 @@ def _sum_in_order(values) -> float:
     """
     arr = np.asarray(values, dtype=float)
     return 0.0 + float(np.add.accumulate(arr)[-1]) if arr.size else 0.0
-
-
-def _resolve(sp: SplitterSpec | SplitterCoeffs) -> SplitterCoeffs:
-    return sp if isinstance(sp, SplitterCoeffs) else splitter_coeffs(sp)
 
 
 def _check_port(port: int) -> None:

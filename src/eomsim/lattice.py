@@ -61,4 +61,4 @@ def _check_mode(n: int) -> None:
 
 def _check_tone(tone: int) -> None:
     if not isinstance(tone, int) or isinstance(tone, bool) or tone < 1:
-        raise ValueError(f"RF tone must be an integer harmonic >= 1, got {tone!r}")
+        raise ValueError(f"tone must be an integer >= 1, got {tone!r}")

@@ -23,15 +23,13 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .lattice import decompose_mode
-from .special import bessel_j_array
+from .lattice import _check_mode, _check_tone, decompose_mode
+from .special import _MAX_INDEX, bessel_j_array
 
 # j^s for s mod 4 = 0, 1, 2, 3; kept exact instead of going through exp()
 _QUARTER_TURNS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 _HALF_PI = 0.5 * math.pi
-
-_MAX_INDEX = 50.0
 
 _MAX_MARGIN = 400
 
@@ -70,14 +68,8 @@ class PMConfig:
     tone: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.tone, int) or isinstance(self.tone, bool) or self.tone < 1:
-            raise ValueError(f"tone must be an integer >= 1, got {self.tone!r}")
-        if not 0.0 <= self.m <= _MAX_INDEX:
-            raise ValueError(f"modulation index must lie in [0, {_MAX_INDEX}], got {self.m!r}")
-        for name in ("phi_b", "theta_rf"):
-            val = getattr(self, name)
-            if not math.isfinite(val):
-                raise ValueError(f"{name} must be finite, got {val!r}")
+        _check_drive(self.m, self.theta_rf, self.tone)
+        _check_phase("phi_b", self.phi_b)
 
 
 @dataclass(frozen=True)
@@ -89,12 +81,7 @@ class ToneDrive:
     tone: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.tone, int) or isinstance(self.tone, bool) or self.tone < 1:
-            raise ValueError(f"tone must be an integer >= 1, got {self.tone!r}")
-        if not 0.0 <= self.m <= _MAX_INDEX:
-            raise ValueError(f"modulation index must lie in [0, {_MAX_INDEX}], got {self.m!r}")
-        if not math.isfinite(self.theta_rf):
-            raise ValueError(f"theta_rf must be finite, got {self.theta_rf!r}")
+        _check_drive(self.m, self.theta_rf, self.tone)
 
 
 @dataclass(frozen=True)
@@ -119,8 +106,7 @@ class MultitonePMConfig:
     convention: str = "full"
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.phi_b):
-            raise ValueError(f"phi_b must be finite, got {self.phi_b!r}")
+        _check_phase("phi_b", self.phi_b)
         if self.convention not in ("full", "half"):
             raise ValueError(f"convention must be 'full' or 'half', got {self.convention!r}")
         object.__setattr__(self, "tones", tuple(self.tones))
@@ -237,8 +223,7 @@ def pm_multitone_row(n0: int, cfg: MultitonePMConfig) -> dict[int, complex]:
     convention), all behind the common bias phase.  Sidebands must stay on
     the positive lattice.
     """
-    if not isinstance(n0, int) or isinstance(n0, bool) or n0 < 1:
-        raise ValueError(f"carrier mode must be an integer >= 1, got {n0!r}")
+    _check_mode(n0)
     for drive in cfg.tones:
         if n0 - drive.tone < 1:
             raise ValueError(
@@ -258,6 +243,19 @@ def pm_multitone_row(n0: int, cfg: MultitonePMConfig) -> dict[int, complex]:
         ):
             row[mode] = row.get(mode, 0.0) + amp * phase
     return {mode: amp for mode, amp in row.items() if amp != 0.0}
+
+
+def _check_drive(m: float, theta_rf: float, tone: int) -> None:
+    """The rules of one RF drive: an integer tone >= 1, index 0 <= m <= 50, finite phase."""
+    _check_tone(tone)
+    if not 0.0 <= m <= _MAX_INDEX:
+        raise ValueError(f"modulation index must lie in [0, {_MAX_INDEX}], got {m!r}")
+    _check_phase("theta_rf", theta_rf)
+
+
+def _check_phase(name: str, val: float) -> None:
+    if not math.isfinite(val):
+        raise ValueError(f"{name} must be finite, got {val!r}")
 
 
 def _check_model(model: str) -> None:

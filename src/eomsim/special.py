@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-_MAX_ARG = 50.0
+_MAX_INDEX = 50.0  # modulation index cap of every phase-modulator drive
 _RESCALE = 1e250
 
 
@@ -26,8 +26,8 @@ def bessel_j_array(s_max: int, m: float) -> np.ndarray:
     """
     if s_max < 0:
         raise ValueError("s_max must be nonnegative")
-    if not 0.0 < m <= _MAX_ARG:
-        raise ValueError(f"argument must satisfy 0 < m <= {_MAX_ARG}, got {m!r}")
+    if not 0.0 < m <= _MAX_INDEX:
+        raise ValueError(f"argument must satisfy 0 < m <= {_MAX_INDEX}, got {m!r}")
     if m < 1e-8:
         # two leading series terms are exact to double precision here, and the
         # backward recurrence would need growth factors ~1/m per step

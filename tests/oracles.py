@@ -18,9 +18,10 @@ retained window in one fixed-length Bessel array that ignores eps,
 `shared_lattice` sizes one generator lattice for both arms,
 `schmidt_dense` and `schmidt_range` decompose the full port coefficient
 matrix that `port_entanglement` reads off the two one-photon outputs (by a
-full SVD and by a randomized range finder), and
+full SVD and by a randomized range finder),
 `mean_field_scalar` samples the classical field one time and one term at a
-time with stdlib trigonometry.
+time with stdlib trigonometry, and `sample_grid_loop` builds a mean-field
+sample grid one time at a time.
 """
 
 import cmath
@@ -421,3 +422,11 @@ def mean_field_scalar(
             total += 2.0 * rot.real
         values.append(total)
     return MeanFieldSeries(times=tlist, values=tuple(values), terms=terms)
+
+
+def sample_grid_loop(t_start: float, t_stop: float, samples: int) -> tuple[float, ...]:
+    """The mean-field sample times of a config, one Python float product at a time."""
+    if samples == 1:
+        return (float(t_start),)
+    step = (t_stop - t_start) / (samples - 1)
+    return tuple(t_start + k * step for k in range(samples))

@@ -85,6 +85,11 @@ def test_json_writer_equals_json_dumps(run):
     assert emit_run(command, points, "json") == _json_dumps_run(command, points)
 
 
+def test_no_record_key_holds_an_n():
+    # the JSON writer takes any "n" in a record list's text for a non-finite float
+    assert not [key for fields in RECORDS.values() for key, _conversion in fields if "n" in key]
+
+
 def test_json_writer_spells_non_finite_floats_as_json_does():
     point = {"point": 0, "norm": math.nan, "pairs": [(1, 2, 1, 2, -0.0, math.inf, math.nan)],
              "samples": [(0.0, -math.inf), (1.5, 2.0)], "phasors": []}

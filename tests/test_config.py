@@ -1,10 +1,13 @@
 import json
 import math
+from array import array
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eomsim.config import ConfigError, parse_config
 from eomsim.phase_mod import MultitonePMConfig, PMConfig
+from oracles import sample_grid_loop
 
 
 def _doc(**overrides):
@@ -205,6 +208,22 @@ def test_mean_field_samples_bound_is_inclusive():
     times = _parse(doc).points[0].mean_field.times
     assert len(times) == 1_000_000
     assert times[0] == 0.0 and times[-1] == pytest.approx(1.0)
+
+
+TIMES = st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, -1e300, 1e300, -7.5, 3.0e17])
+
+
+@settings(max_examples=12, deadline=None)
+@given(t_start=TIMES, t_stop=TIMES, samples=st.sampled_from([1, 2, 1_000_000]))
+def test_mean_field_grid_equals_one_product_per_sample(t_start, t_stop, samples):
+    doc = _doc(command="mean-field", input={"mode": 30, "alpha": 1.0},
+               mean_field={"t_start": t_start, "t_stop": t_stop, "samples": samples})
+    times = _parse(doc).points[0].mean_field.times
+    assert type(times) is tuple and type(times[0]) is float
+    # bit for bit, signed zeros included: what repr() would compare, at a
+    # fraction of the cost of printing a million floats
+    want = sample_grid_loop(t_start, t_stop, samples)
+    assert array("d", times).tobytes() == array("d", want).tobytes()
 
 
 def test_error_paths_in_nested_arms():

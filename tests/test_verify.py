@@ -96,3 +96,22 @@ def test_passed_is_every_defect_within_its_tolerance(monkeypatch, scale):
         within = all(bool(np.all(defects <= tol)) for _label, defects, tol in measures)
         assert result.passed == within, result.detail
         assert [label for label, _w, _t in _measures(result.detail)] == [m[0] for m in measures]
+
+
+def _neumaier_sum(values, start=0):
+    """The builtin sum() over floats from Python 3.12 on: Neumaier's compensated sum."""
+    total, comp = float(start), 0.0
+    for x in values:
+        t = total + x
+        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + comp if comp and math.isfinite(comp) else total
+
+
+def test_check_10_field_reference_does_not_depend_on_builtin_sum(monkeypatch):
+    # check 10 compares its scalar field reference with the array pass at
+    # tolerance 0.0, so the reference must add left to right on every interpreter
+    monkeypatch.setattr(verify, "sum", _neumaier_sum, raising=False)
+    result = verify.check_small_signal()
+    assert result.passed, result.detail
+    assert result.margins[2] == verify.Margin("field reconstruction defect", 0.0, 0.0)
