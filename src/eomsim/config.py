@@ -19,15 +19,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import EOMConfig, dsb_settings, preset, ssb_settings, PRESETS
-from .lattice import decompose_mode, mode_omega
-from .phase_mod import (MultitonePMConfig, PMConfig, ToneDrive, Truncation, pm_multitone_row,
-                        retained_halfwidth)
+from .engine import EOMConfig, _check_port, dsb_settings, preset, ssb_settings, PRESETS
+from .lattice import _check_mode, decompose_mode, mode_omega
+from .phase_mod import (MODELS, MultitonePMConfig, PMConfig, ToneDrive, Truncation,
+                        pm_multitone_row, retained_halfwidth)
 from .splitters import SplitterSpec
 
 COMMANDS = ("spectrum", "coherent", "two-photon", "mean-field", "verify")
 FORMATS = ("csv", "json")
-MODELS = ("exact", "optical")
 _MAX_SAMPLES = 1_000_000  # mean-field sample times are built in memory up front
 _MAX_FIELD = 1e300  # bound on the sampled mean field, well inside the float range
 
@@ -169,11 +168,11 @@ def _resolve_point(doc: dict, command: str, prefix: str) -> RunPoint:
     input_fields = _FIELDS[command][2]
     _check_keys(inp, input_fields, here, command)
     n0 = _get(inp, "mode", here, int, required=True)
-    if n0 < 1:
-        raise ConfigError(f"{here}.mode: must be >= 1, got {n0}")
+    with _field(f"{here}.mode"):
+        _check_mode(n0)
     port = _get(inp, "port", here, int, default=1)
-    if port not in (1, 2):
-        raise ConfigError(f"{here}.port: must be 1 or 2, got {port}")
+    with _field(f"{here}.port"):
+        _check_port(port)
     alpha = _parse_alpha(inp, here) if "alpha" in input_fields else None
 
     model = _one_of(doc, "model", prefix, MODELS, default="exact")
@@ -191,8 +190,8 @@ def _resolve_point(doc: dict, command: str, prefix: str) -> RunPoint:
         mfo = _get(doc, "mean_field", prefix, dict, required=True)
         _check_keys(mfo, ("port", "t_start", "t_stop", "samples", "nu", "length", "field_scale"), here)
         mf_port = _get(mfo, "port", here, int, default=1)
-        if mf_port not in (1, 2):
-            raise ConfigError(f"{here}.port: must be 1 or 2, got {mf_port}")
+        with _field(f"{here}.port"):
+            _check_port(mf_port)
         t0 = _get(mfo, "t_start", here, float, default=0.0)
         t1 = _get(mfo, "t_stop", here, float, required=True)
         ns = _get(mfo, "samples", here, int, required=True)
@@ -200,8 +199,8 @@ def _resolve_point(doc: dict, command: str, prefix: str) -> RunPoint:
             raise ConfigError(f"{here}.samples: must be in [1, {_MAX_SAMPLES}], got {ns}")
         nu = _get(mfo, "nu", here, float, default=1.0)
         length = _get(mfo, "length", here, float, default=2.0 * math.pi)
-        if nu <= 0.0 or length <= 0.0:
-            raise ConfigError(f"{here}: nu and length must be positive")
+        with _field(here):
+            mode_omega(1, nu, length)  # refuses a nu or length <= 0
         fs = _get(mfo, "field_scale", here, float, default=1.0)
         if ns == 1:
             times = (float(t0),)

@@ -15,6 +15,8 @@ with C (Cbar) the arm-1 (arm-2) scatter rows.  Coherent states displace with
 alpha times the same weights.  Everything here is closed-form; `verify`
 rebuilds the same outputs from raw matrix products of the splitter tables
 and the arm generator exponentials, sharing none of the closed-form code.
+As in `phase_mod`, a real meeting a complex is promoted with complex(x)
+first, so the outputs do not depend on the interpreter's mixed-mode rule.
 """
 
 from __future__ import annotations
@@ -88,6 +90,7 @@ class TwoPortSpectrum:
         )
 
     def scaled(self, factor: complex) -> "TwoPortSpectrum":
+        factor = complex(factor)
         return TwoPortSpectrum(
             port1={m: factor * a for m, a in self.port1.items()},
             port2={m: factor * a for m, a in self.port2.items()},
@@ -349,7 +352,7 @@ def mean_field(
     """
     amps = spectrum.port(port)
     omegas = {mode: mode_omega(mode, nu, length) for mode in sorted(amps)}
-    terms = tuple((mode, omega, 1j * field_scale * math.sqrt(omega) * amps[mode])
+    terms = tuple((mode, omega, 1j * complex(field_scale) * complex(math.sqrt(omega)) * amps[mode])
                   for mode, omega in omegas.items())
     tarr = np.asarray(times, dtype=float)
     values = np.zeros(len(tarr))
@@ -391,21 +394,30 @@ def _port_weights(
     else:
         into_arm1, into_arm2 = ci.r, ci.t
     return (
-        (into_arm1 * co.tp, into_arm2 * co.r),
-        (into_arm1 * co.rp, into_arm2 * co.t),
+        (_product(into_arm1, co.tp), _product(into_arm2, co.r)),
+        (_product(into_arm1, co.rp), _product(into_arm2, co.t)),
     )
+
+
+def _product(a: complex, b: complex) -> complex:
+    """a * b, a real factor promoted to complex(x, 0.0) only beside a complex one.
+
+    That is how Python multiplied up to 3.13; from 3.14 a real scales the
+    complex factor's parts instead, which can flip the sign of a zero part.
+    """
+    if isinstance(a, complex) or isinstance(b, complex):
+        return complex(a) * complex(b)
+    return a * b
 
 
 def _accumulate(
     w1: complex, row1: dict[int, complex], w2: complex, row2: dict[int, complex]
 ) -> dict[int, complex]:
     out: dict[int, complex] = {}
-    if w1 != 0.0:
-        for mode, amp in row1.items():
-            out[mode] = out.get(mode, 0.0) + w1 * amp
-    if w2 != 0.0:
-        for mode, amp in row2.items():
-            out[mode] = out.get(mode, 0.0) + w2 * amp
+    for w, row in ((complex(w1), row1), (complex(w2), row2)):
+        if w != 0.0:
+            for mode, amp in row.items():
+                out[mode] = out.get(mode, 0j) + w * amp
     return {mode: amp for mode, amp in sorted(out.items()) if amp != 0.0}
 
 

@@ -15,6 +15,10 @@ limit, valid when the carrier sits many rungs up (q0 >> m).
 This module evaluates only the closed form; `verify` cross-checks it
 against the exponential of the lattice hopping generator, which shares no
 code with the Bessel evaluation.
+
+Wherever a real meets a complex, the real is promoted with complex(x) first,
+the rule Python applied up to 3.13; 3.14 follows C99 instead and can flip
+the sign of a zero part, which would change the printed bytes.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ from .special import _MAX_INDEX, bessel_j_array
 _QUARTER_TURNS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 _HALF_PI = 0.5 * math.pi
+
+MODELS = ("exact", "optical")
 
 _MAX_MARGIN = 400
 
@@ -49,7 +55,7 @@ def phase_factor(angle: float) -> complex:
     k = round(angle / _HALF_PI)
     if angle == k * _HALF_PI:
         return _QUARTER_TURNS[k % 4]
-    return cmath.exp(1j * angle)
+    return cmath.exp(1j * complex(angle))
 
 
 @dataclass(frozen=True)
@@ -145,7 +151,7 @@ def ladder_phase(s: int, theta_rf: float) -> complex:
     k = round(theta_rf / _HALF_PI)
     if theta_rf == k * _HALF_PI:
         return _QUARTER_TURNS[(s * (k + 1)) % 4]
-    return _QUARTER_TURNS[s % 4] * cmath.exp(1j * (s * theta_rf))
+    return _QUARTER_TURNS[s % 4] * cmath.exp(1j * complex(s * theta_rf))
 
 
 def retained_halfwidth(m: float, truncation: Truncation) -> int:
@@ -209,7 +215,7 @@ def pm_scatter_row(
         js = jarr[s] if s >= 0 else (jarr[-s] if s % 2 == 0 else -jarr[-s])
         image = jarr[q + dec.q0] if q + dec.q0 <= top else 0.0
         bracket = js if model == "optical" else js - sign * image
-        amp = bias * ladder_phase(s, cfg.theta_rf) * bracket
+        amp = bias * ladder_phase(s, cfg.theta_rf) * complex(bracket)
         if amp != 0.0:
             row[q * dec.tone - dec.r0] = amp
     return row
@@ -235,13 +241,13 @@ def pm_multitone_row(n0: int, cfg: MultitonePMConfig) -> dict[int, complex]:
     for drive in cfg.tones:
         if drive.m == 0.0:
             continue
-        amp = bias * scale * drive.m * 1j
+        amp = bias * complex(scale) * complex(drive.m) * 1j
         tone_phase = phase_factor(drive.theta_rf)
         for mode, phase in (
             (n0 + drive.tone, tone_phase),
             (n0 - drive.tone, tone_phase.conjugate()),
         ):
-            row[mode] = row.get(mode, 0.0) + amp * phase
+            row[mode] = row.get(mode, 0j) + amp * phase
     return {mode: amp for mode, amp in row.items() if amp != 0.0}
 
 
@@ -259,5 +265,5 @@ def _check_phase(name: str, val: float) -> None:
 
 
 def _check_model(model: str) -> None:
-    if model not in ("exact", "optical"):
-        raise ValueError(f"model must be 'exact' or 'optical', got {model!r}")
+    if model not in MODELS:
+        raise ValueError(f"model must be one of {MODELS}, got {model!r}")

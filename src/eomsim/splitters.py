@@ -8,7 +8,8 @@ so the table is a unitary 2x2 matrix:
     |t'|^2 + |r'|^2 = 1,   |t|^2 + |r|^2 = 1,   conj(r) t' + r' conj(t) = 0.
 
 Sign conventions are fixed: the directional coupler and bulk splitter carry
-+j on every reflection; the Y-branch is real with r' = sqrt(k) = -r.  This
++j on every reflection (the real factor promoted with complex(x), as in
+`phase_mod`); the Y-branch is real with r' = sqrt(k) = -r.  This
 module holds only the closed-form tables; `verify` checks them against the
 relations above and against the exchange-generator exponential.
 """
@@ -84,12 +85,12 @@ def splitter_coeffs(spec: SplitterSpec) -> SplitterCoeffs:
         half = 0.5 * spec.theta_split
         c = SplitterCoeffs(
             t=math.cos(half), tp=math.cos(half),
-            r=1j * math.sin(half), rp=1j * math.sin(half),
+            r=1j * complex(math.sin(half)), rp=1j * complex(math.sin(half)),
         )
     elif spec.kind == "dc":
         c = SplitterCoeffs(
             t=math.sqrt(1.0 - spec.k), tp=math.sqrt(1.0 - spec.k),
-            r=1j * math.sqrt(spec.k), rp=1j * math.sqrt(spec.k),
+            r=1j * complex(math.sqrt(spec.k)), rp=1j * complex(math.sqrt(spec.k)),
         )
     else:  # yb
         c = SplitterCoeffs(

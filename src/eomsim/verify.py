@@ -10,11 +10,13 @@ drift apart.
 This module also owns the generator route, the battery's independent
 reference: the splitter tables, the phase-modulator rows and the whole
 device rebuilt from exponentials of their Hermitian generators, with no
-Bessel function and none of the closed-form code.  The splitter tables come
-through ``unitary_exp``.  A modulator row comes from the exact sine
-eigenbasis of its carrier's ladder chain (``pm_generator_oracle``), on a
-lattice sized by that arm's own retained window, so the oracle's cost follows
-the window rather than the other arm's tone.
+Bessel function and none of the closed-form code.  A splitter's exchange
+generator squares to a multiple of the identity, so its exponential has an
+exact closed form (``splitter_generator_oracle``).  A modulator row comes
+from the exact sine eigenbasis of its carrier's ladder chain
+(``pm_generator_oracle``), on a lattice sized by that arm's own retained
+window, so the oracle's cost follows the window rather than the other arm's
+tone.
 
 Tolerances may be loosened or tightened globally through ``tolerance_scale``;
 the shipped defaults are what the package is expected to meet.
@@ -54,52 +56,28 @@ from .phase_mod import (
 from .splitters import SplitterCoeffs, SplitterSpec, splitter_coeffs
 
 
-def unitary_exp(gen: np.ndarray) -> np.ndarray:
-    """exp(1j*G) for a Hermitian matrix G, from one eigendecomposition.
-
-    G = V diag(w) V^H with V unitary (LAPACK eigh), so exp(1j*G) =
-    V diag(exp(1j*w)) V^H.  A Hermitian eigenbasis is perfectly conditioned,
-    which makes this the stable route (Moler & Van Loan, SIAM Rev. 45, 2003).
-    eigh reads only one triangle, hence the explicit Hermitian check.
-    """
-    g = np.asarray(gen, dtype=np.complex128)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise ValueError(f"generator must be a square matrix, got shape {g.shape}")
-    n = g.shape[0]
-    if n == 0:
-        raise ValueError("generator must have dimension >= 1")
-    scale = max(1.0, float(np.max(np.abs(g))))
-    defect = float(np.max(np.abs(g - g.conj().T)))
-    if defect > 1e-14 * scale:
-        raise ValueError(f"generator is not Hermitian (defect {defect:.3e})")
-
-    w, v = np.linalg.eigh(g)
-    return (v * np.exp(1j * w)) @ v.conj().T
-
-
 def splitter_generator_oracle(spec: SplitterSpec) -> np.ndarray:
     """Coefficient table built from the exchange-generator exponential.
 
     Independent route to the same 2x2 table: exponentiate the one-photon
-    exchange generator instead of writing the trig closed form.  The bulk
-    splitter and directional coupler use the symmetric exchange generator at
-    mixing angle theta (theta = 2*atan2(sqrt(k), sqrt(1-k)) for the coupler,
-    which unlike 2*asin(sqrt(k)) stays accurate when k approaches 1); the
-    Y-branch uses the antisymmetric one.  The generator is written in the
-    same row-per-input convention as :meth:`SplitterCoeffs.as_matrix` (the
+    exchange generator G = (theta/2) P, with P = [[0, 1], [1, 0]] for the bulk
+    splitter and directional coupler (theta = 2*atan2(sqrt(k), sqrt(1-k)) for
+    the coupler, accurate as k approaches 1) and P = [[0, -j], [j, 0]] for the
+    Y-branch.  P^2 = I, so exp(jG) = cos(theta/2) I + j sin(theta/2) P exactly,
+    with no division by theta (k = 0 is on check 1's grid).  G is written in
+    the row-per-input convention of :meth:`SplitterCoeffs.as_matrix` (the
     adjoint action on creation operators, i.e. the transpose of the
-    one-photon-subspace matrix); only the Y-branch is sensitive to the
-    distinction.
+    one-photon-subspace matrix), which only the Y-branch can tell apart.  For
+    the bulk splitter theta is spec.theta_split, so the trig values are the
+    ones splitter_coeffs computes: there this route checks the convention
+    (entry positions and the placement of j), not the values.
     """
     if spec.kind == "bulk":
         theta = spec.theta_split
     else:
         theta = 2.0 * math.atan2(math.sqrt(spec.k), math.sqrt(1.0 - spec.k))
-    if spec.kind == "yb":
-        gen = np.array([[0.0, -0.5j * theta], [0.5j * theta, 0.0]], dtype=np.complex128)
-    else:
-        gen = np.array([[0.0, 0.5 * theta], [0.5 * theta, 0.0]], dtype=np.complex128)
-    mat = unitary_exp(gen)
+    exchange = np.array([[0.0, -1j], [1j, 0.0]] if spec.kind == "yb" else [[0.0, 1.0], [1.0, 0.0]])
+    mat = math.cos(0.5 * theta) * np.eye(2) + math.sin(0.5 * theta) * (1j * exchange)
     return mat.T.copy() if spec.reverse else mat
 
 
@@ -467,7 +445,7 @@ def check_small_signal(scale: float = 1.0) -> CheckResult:
                  pm2=PMConfig(phi_b=-0.4, m=0.3, theta_rf=0.9, tone=2))
     out = coherent_output(cfg, 1, 50, 1.2 + 0.3j)
     series = mean_field(out, 1, times=tuple(k / 64 for k in range(65)), field_scale=0.7)
-    phasors = [abs(phasor - 1j * 0.7 * math.sqrt(mode_omega(mode)) * out.port1[mode])
+    phasors = [abs(phasor - 1j * complex(0.7) * complex(math.sqrt(mode_omega(mode))) * out.port1[mode])
                for mode, _omega, phasor in series.terms]
     fields = []
     for t, value in zip(series.times, series.values):

@@ -1,13 +1,15 @@
 """Independent reference implementations used only by the tests.
 
-The Bessel references are stdlib-only and the matrix-exponential reference
-uses only numpy arithmetic.  Each deliberately avoids the algorithm used
-inside the package (backward recurrence, eigendecomposition), so an agreement
-between the two is meaningful.  `pm_generator_full` and `composition_full`
-exponentiate the hopping generator over the whole lattice 1..n_max, every
-ladder chain at once, and `pm_generator_chain_eigh` exponentiates the
-carrier's chain alone by a Hermitian eigendecomposition; both are references
-for the exact-eigenbasis row of `eomsim.verify.pm_generator_oracle`.
+The Bessel references are stdlib-only, so they avoid the backward
+recurrence used inside the package and an agreement between the two is
+meaningful.  The package holds no general matrix exponential: `unitary_exp`
+exponentiates a Hermitian generator through one LAPACK eigh, and
+`unitary_exp_taylor`, a plain Taylor sum in numpy arithmetic, checks it.
+`pm_generator_full` and `composition_full` exponentiate the hopping
+generator over the whole lattice 1..n_max, every ladder chain at once, and
+`pm_generator_chain_eigh` exponentiates the carrier's chain alone; both go
+through `unitary_exp` and are references for the exact-eigenbasis row of
+`eomsim.verify.pm_generator_oracle`.
 The closed forms below (sideband rungs, a coherent splitter, the
 single-drive Y-branch, the coupler photon pair) are written out as explicit
 expressions rather than calls into the general device path,
@@ -34,7 +36,6 @@ from eomsim.engine import MeanFieldSeries, TwoPhotonState, TwoPortSpectrum
 from eomsim.lattice import TWO_PI, decompose_mode, mode_omega
 from eomsim.phase_mod import PMConfig, Truncation, pm_scatter_row, retained_halfwidth
 from eomsim.special import bessel_j_array
-from eomsim.verify import unitary_exp
 
 
 def bessel_series(s: int, m: float, terms: int = 60) -> float:
@@ -83,6 +84,29 @@ def bessel_reference(s: int, m: float) -> float:
         sign *= -1.0 if s_abs % 2 else 1.0
     base = bessel_series(s_abs, m_val) if m_val <= 8.0 else bessel_integral(s_abs, m_val)
     return sign * base
+
+
+def unitary_exp(gen: np.ndarray) -> np.ndarray:
+    """exp(1j*G) for a Hermitian matrix G, from one eigendecomposition.
+
+    G = V diag(w) V^H with V unitary (LAPACK eigh), so exp(1j*G) =
+    V diag(exp(1j*w)) V^H.  A Hermitian eigenbasis is perfectly conditioned,
+    which makes this the stable route (Moler & Van Loan, SIAM Rev. 45, 2003).
+    eigh reads only one triangle, hence the explicit Hermitian check.
+    """
+    g = np.asarray(gen, dtype=np.complex128)
+    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+        raise ValueError(f"generator must be a square matrix, got shape {g.shape}")
+    n = g.shape[0]
+    if n == 0:
+        raise ValueError("generator must have dimension >= 1")
+    scale = max(1.0, float(np.max(np.abs(g))))
+    defect = float(np.max(np.abs(g - g.conj().T)))
+    if defect > 1e-14 * scale:
+        raise ValueError(f"generator is not Hermitian (defect {defect:.3e})")
+
+    w, v = np.linalg.eigh(g)
+    return (v * np.exp(1j * w)) @ v.conj().T
 
 
 def unitary_exp_taylor(gen: np.ndarray, terms: int = 30) -> np.ndarray:
@@ -279,16 +303,17 @@ def two_photon_dc_closed_form(delta_phi: float, b_row: dict[int, complex]) -> di
 def pair_table_loop(first: TwoPortSpectrum, second: TwoPortSpectrum) -> dict:
     """Pair amplitudes by a double loop of Python complex products over sorted labels.
 
-    For labels x <= y, first_x*second_y from 0.0, plus first_y*second_x when
-    x != y; a missing entry is the float 0.0.  Keeps the nonzero sums, in
-    sorted key order.
+    For labels x <= y, first_x*second_y from 0j, plus first_y*second_x when
+    x != y; a missing entry is 0j.  Every operand is a Python complex, so the
+    sums do not depend on how the interpreter mixes reals with complexes.
+    Keeps the nonzero sums, in sorted key order.
     """
     labels = sorted({(p, m) for spec in (first, second) for p in (1, 2) for m in spec.port(p)})
-    rows = [(x, first.port(x[0]).get(x[1], 0.0), second.port(x[0]).get(x[1], 0.0)) for x in labels]
+    rows = [(x, first.port(x[0]).get(x[1], 0j), second.port(x[0]).get(x[1], 0j)) for x in labels]
     out: dict = {}
     for i, (x, ax, bx) in enumerate(rows):
         for y, ay, by in rows[i:]:
-            c = 0.0 + ax * by  # a running sum from 0.0: a -0.0 product adds as +0.0
+            c = 0j + ax * by  # a running sum from 0j: a -0.0 product part adds as +0.0
             if x != y:
                 c = c + ay * bx
             if c != 0.0:
@@ -300,7 +325,7 @@ def pair_table_accumulated(first: TwoPortSpectrum, second: TwoPortSpectrum) -> d
     """Pair amplitudes by accumulating every product of the two one-photon outputs.
 
     Walks every (first entry, second entry) product and adds it into the
-    unordered pair key, starting from 0.0, then drops exact zeros.  The dict
+    unordered pair key, starting from 0j, then drops exact zeros.  The dict
     is in first-insertion order, not sorted.
     """
     amps: dict = {}
@@ -314,7 +339,7 @@ def pair_table_accumulated(first: TwoPortSpectrum, second: TwoPortSpectrum) -> d
             label_a = (port_a, mode_a)
             for label_b, amp_b in entries_b:
                 key = (label_a, label_b) if label_a <= label_b else (label_b, label_a)
-                amps[key] = amps.get(key, 0.0) + amp_a * amp_b
+                amps[key] = amps.get(key, 0j) + amp_a * amp_b
     return {k: c for k, c in amps.items() if c != 0.0}
 
 
@@ -330,7 +355,7 @@ def _add(amps: dict, key, val: complex) -> None:
     if val != 0.0:
         a, b = key
         k = key if a <= b else (b, a)
-        amps[k] = amps.get(k, 0.0) + val
+        amps[k] = amps.get(k, 0j) + val
 
 
 def pair_label_matrix(state: TwoPhotonState) -> np.ndarray:
@@ -410,7 +435,8 @@ def mean_field_scalar(
     """`engine.mean_field` as a per-sample loop of complex scalar rotations."""
     amps = spectrum.port(port)
     terms = tuple(
-        (mode, mode_omega(mode, nu, length), 1j * field_scale * math.sqrt(mode_omega(mode, nu, length)) * amps[mode])
+        (mode, mode_omega(mode, nu, length),
+         1j * complex(field_scale) * complex(math.sqrt(mode_omega(mode, nu, length))) * amps[mode])
         for mode in sorted(amps)
     )
     tlist = tuple(float(t) for t in times)

@@ -5,6 +5,7 @@ from array import array
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eomsim import config, phase_mod
 from eomsim.config import ConfigError, parse_config
 from eomsim.phase_mod import MultitonePMConfig, PMConfig
 from oracles import sample_grid_loop
@@ -192,6 +193,36 @@ def test_validation_errors_name_the_field(mutate, fragment):
     mutate(doc)
     with pytest.raises(ConfigError, match=fragment):
         _parse(doc)
+
+
+def _mean_field(**fields):
+    return lambda d: d.update(command="mean-field", input={"mode": 30, "alpha": 1.0},
+                              mean_field={"t_stop": 1.0, "samples": 4, **fields})
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda d: d["input"].update(mode=-5), "input.mode: mode number must be an integer >= 1, got -5"),
+        (lambda d: d["input"].update(port=3), "input.port: port must be 1 or 2, got 3"),
+        (_mean_field(port=0), "mean_field.port: port must be 1 or 2, got 0"),
+        (_mean_field(nu=-1.0), "mean_field: nu and length must be positive"),
+        (_mean_field(length=0.0), "mean_field: nu and length must be positive"),
+    ],
+)
+def test_device_rules_are_the_librarys_own(mutate, message):
+    # the parser words each refusal as the library rule it calls, under the field path
+    doc = _doc()
+    mutate(doc)
+    with pytest.raises(ConfigError) as exc:
+        _parse(doc)
+    assert str(exc.value) == message
+
+
+def test_models_are_one_tuple():
+    assert config.MODELS is phase_mod.MODELS
+    with pytest.raises(ValueError, match=r"model must be one of \('exact', 'optical'\), got 'wave'"):
+        phase_mod.pm_scatter_row(10, PMConfig(phi_b=0.0, m=0.5, theta_rf=0.0, tone=2), model="wave")
 
 
 def test_truncation_margin_bound_is_inclusive():

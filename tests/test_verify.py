@@ -1,5 +1,6 @@
 """The verify result builder: every measure is reported and a NaN defect fails."""
 
+import dataclasses
 import json
 import math
 import re
@@ -73,6 +74,28 @@ def test_splitter_generator_mismatch_fails_check_1(monkeypatch):
     (mismatch,) = [worst for label, worst, _tol in _measures(result.detail)
                    if label == "generator mismatch"]
     assert mismatch == pytest.approx(1e-9, rel=1e-3)
+    assert "reciprocity broken" not in result.detail
+
+
+def _yb_transposed(coeffs, spec):
+    return coeffs.reversed() if spec.kind == "yb" else coeffs
+
+
+def _reflections_conjugated(coeffs, spec):
+    return dataclasses.replace(coeffs, r=coeffs.r.conjugate(), rp=coeffs.rp.conjugate())
+
+
+@pytest.mark.parametrize("wrong", [_yb_transposed, _reflections_conjugated],
+                         ids=["yb_transposed", "reflections_conjugated"])
+def test_convention_error_fails_check_1_on_the_generator_alone(monkeypatch, wrong):
+    # each table stays unitary and reciprocal, so only the generator route sees the error
+    real_coeffs = verify.splitter_coeffs
+    monkeypatch.setattr(verify, "splitter_coeffs", lambda spec: wrong(real_coeffs(spec), spec))
+    result = verify.check_splitter_laws()
+    laws, mismatch = result.margins
+    assert laws.label == "reciprocity defect" and laws.worst <= laws.tolerance
+    assert mismatch.label == "generator mismatch" and mismatch.worst == pytest.approx(2.0, abs=1e-12)
+    assert not result.passed
     assert "reciprocity broken" not in result.detail
 
 
