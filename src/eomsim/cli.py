@@ -25,6 +25,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import verify as verify_mod
 from .config import (
     FORMATS,
@@ -53,7 +55,8 @@ def _csv_field(text: str) -> str:
 # The record kinds of a run point: per kind, its JSON keys and their %
 # conversions, in the order of the point's record tuples.  No key, %d integer
 # or finite %r float holds an "n", while %r spells the non-finite floats "nan"
-# and "inf", which json writes as NaN and Infinity.
+# and "inf", which json writes as NaN and Infinity.  A point's "pairs" is a
+# `PairTable` of columns instead of a list of tuples (see `_table_texts`).
 RECORDS = {
     "rows": (("port", "d"), ("mode", "d"), ("order", "d"), ("re", "r"), ("im", "r"), ("prob", "r")),
     "pairs": (("port_a", "d"), ("mode_a", "d"), ("port_b", "d"), ("mode_b", "d"),
@@ -61,9 +64,12 @@ RECORDS = {
     "phasors": (("mode", "d"), ("omega", "r"), ("re", "r"), ("im", "r")),
     "samples": (("t", "r"), ("field", "r")),
 }
+# The text between two fields of a record, in each format's layouts.
+FIELD_SEPARATORS = {"csv": ",", "json": ",\n          "}
 # One record inside a point, as json.dumps(indent=2) prints it.
 JSON_LAYOUTS = {
-    kind: "        {\n%s\n        }" % ",\n".join('          "%s": %%%s' % kv for kv in fields)
+    kind: "        {\n          %s\n        }" % FIELD_SEPARATORS["json"].join(
+        '"%s": %%%s' % kv for kv in fields)
     for kind, fields in RECORDS.items()
 }
 # The CSV columns of each record kind after `point`: its record tuple's fields
@@ -130,7 +136,7 @@ def _two_photon_point(pt: RunPoint, idx: int) -> dict:
         "mode_in": pt.n0,
         "model": pt.model,
         "norm": state.norm_sq(),
-        "pairs": list(zip(*(column.tolist() for column in state.pairs))),
+        "pairs": state.pairs,
         "sectors": state.sector_probabilities(),
         "singular_values": port_entanglement(state).tolist(),
     }
@@ -168,8 +174,9 @@ def emit_run(command: str, points: list[dict], fmt: str) -> str:
     """Render run points, each record kind through one % layout.
 
     A point maps its fields to values in output order; the `RECORDS` fields
-    hold lists of record tuples.  JSON equals json.dumps(indent=2) of the run
-    with each record tuple as an object of its kind's keys.
+    hold lists of record tuples, except "pairs", a `PairTable` of columns
+    (see `_table_texts`).  JSON equals json.dumps(indent=2) of the run with
+    each record as an object of its kind's keys.
     """
     if fmt == "json":
         if not points:
@@ -180,27 +187,65 @@ def emit_run(command: str, points: list[dict], fmt: str) -> str:
     for p in points:
         i = p["point"]
         for kind, layout in CSV_LAYOUTS.items():
-            lines.extend(map(("%d," % i + layout).__mod__, p.get(kind, ())))
+            if kind in p:
+                lines.extend(_record_texts(kind, p[kind], "%d," % i + layout, "csv"))
         if command == "two-photon":
             lines.extend("%d,sector,%s,,,,,,%.17g" % (i, *kv) for kv in p["sectors"].items())
             lines.extend("%d,singular_value,%d,,,,,,%.17g" % (i, *kv)
                          for kv in enumerate(p["singular_values"]))
             lines.append("%d,norm,,,,,,,%.17g" % (i, p["norm"]))
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the text ends in a newline, without a copy to add it
+    return "\n".join(lines)
+
+
+def _record_texts(kind: str, records, layout: str, fmt: str) -> list[str]:
+    if kind == "pairs":
+        return _table_texts(records, layout, FIELD_SEPARATORS[fmt])
+    return list(map(layout.__mod__, records))
+
+
+def _table_texts(table, layout: str, sep: str) -> list[str]:
+    """Each record of a table of columns through `layout`, one column at a time.
+
+    `layout` is split at `sep` into one % template per column, each column
+    is formatted by `_column_text`, and a record's text is its fields joined
+    by `sep`: the text of `layout % record`.  Pair amplitudes are products
+    of two one-photon rows, so most values in a pair column repeat.
+    """
+    templates = layout.rsplit(sep, len(table) - 1)
+    return list(map(sep.join, zip(*map(_column_text, table, templates))))
+
+
+def _column_text(column: np.ndarray, template: str) -> list[str]:
+    """`template % x` for each x of a numeric column, formatted once per distinct value.
+
+    Values are told apart by their bits, so -0.0 and 0.0 keep their own text.
+    """
+    bits, inverse = np.unique(column.view(f"u{column.itemsize}"), return_inverse=True)
+    text = [template % x for x in bits.view(column.dtype).tolist()]
+    return np.array(text, dtype=object)[inverse].tolist()
 
 
 def _json_point(point: dict) -> str:
     fields = ",\n".join(
-        '      "%s": %s' % (key, _json_records(key, value) if key in RECORDS and value else _json_value(value))
+        '      "%s": %s' % (key, _json_records(key, value) if key in RECORDS else _json_value(value))
         for key, value in point.items()
     )
     return "    {\n%s\n    }" % fields
 
 
-def _json_records(kind: str, records: list[tuple]) -> str:
-    text = "[\n%s\n      ]" % ",\n".join(map(JSON_LAYOUTS[kind].__mod__, records))
+def _json_records(kind: str, records) -> str:
+    texts = _record_texts(kind, records, JSON_LAYOUTS[kind], "json")
+    if not texts:
+        return "[]"
+    # bracket the end records, so that the list's text is built in one join
+    texts[0] = "[\n" + texts[0]
+    texts[-1] += "\n      ]"
+    text = ",\n".join(texts)
     if "n" in text:  # a "nan" or "inf", which json writes as NaN and Infinity
         keys = [key for key, _conversion in RECORDS[kind]]
+        if kind == "pairs":
+            records = zip(*(column.tolist() for column in records))
         return _json_value([dict(zip(keys, r)) for r in records])
     return text
 

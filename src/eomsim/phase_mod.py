@@ -176,7 +176,7 @@ def retained_halfwidth(m: float, truncation: Truncation) -> int:
     # for m <= 50 it underflows to 0.0 before order int(m) + 362 and stays
     # under the bound, so the scan stops inside the array for every eps > 0
     top = min(int(m) + 401, bound + _BOUND_SLACK)
-    jarr = bessel_j_array(top, m)
+    jarr = bessel_j_array(top, m).tolist()
     s = int(m) + 1
     while s < top and abs(jarr[s]) >= truncation.eps:
         s += 1
@@ -207,7 +207,7 @@ def pm_scatter_row(
     # image orders q + q0 past hw + m + 80 lie below double precision, so
     # the array length, and the cost, does not grow with the carrier
     top = min(q_hi + dec.q0, hw + int(cfg.m) + 80)
-    jarr = bessel_j_array(top, cfg.m)
+    jarr = bessel_j_array(top, cfg.m).tolist()
     sign = -1.0 if dec.q0 % 2 else 1.0
     row: dict[int, complex] = {}
     for q in range(q_lo, q_hi + 1):

@@ -15,6 +15,7 @@ single-drive Y-branch, the coupler photon pair) are written out as explicit
 expressions rather than calls into the general device path,
 `pair_table_loop` builds the pair table by a double loop of Python complex
 products, `pair_table_accumulated` sums it product by product,
+`pair_records_loop` prints each pair record with one % over its values,
 `sum_left` adds floats in a plain loop, `halfwidth_full_scan` finds the
 retained window in one fixed-length Bessel array that ignores eps,
 `shared_lattice` sizes one generator lattice for both arms,
@@ -32,7 +33,7 @@ import math
 
 import numpy as np
 
-from eomsim.engine import MeanFieldSeries, TwoPhotonState, TwoPortSpectrum
+from eomsim.engine import MeanFieldSeries, PairTable, TwoPhotonState, TwoPortSpectrum
 from eomsim.lattice import TWO_PI, decompose_mode, mode_omega
 from eomsim.phase_mod import PMConfig, Truncation, pm_scatter_row, retained_halfwidth
 from eomsim.special import bessel_j_array
@@ -341,6 +342,23 @@ def pair_table_accumulated(first: TwoPortSpectrum, second: TwoPortSpectrum) -> d
                 key = (label_a, label_b) if label_a <= label_b else (label_b, label_a)
                 amps[key] = amps.get(key, 0j) + amp_a * amp_b
     return {k: c for k, c in amps.items() if c != 0.0}
+
+
+# A pair record as the CLI prints it: %d for each label field, then %.17g
+# (CSV, after the point column) or %r (JSON) for each float.
+PAIR_RECORD_LAYOUTS = {
+    "csv": "pair,%d,%d,%d,%d,%.17g,%.17g,%.17g",
+    "json": "        {\n" + ",\n".join(
+        '          "%s": %%%s' % kv for kv in (("port_a", "d"), ("mode_a", "d"), ("port_b", "d"),
+                                            ("mode_b", "d"), ("re", "r"), ("im", "r"), ("prob", "r"))
+    ) + "\n        }",
+}
+
+
+def pair_records_loop(table: PairTable, fmt: str) -> list[str]:
+    """Each pair record's text from one % over its tuple of Python values, one float at a time."""
+    layout = PAIR_RECORD_LAYOUTS[fmt]
+    return [layout % record for record in zip(*(column.tolist() for column in table))]
 
 
 def sum_left(values) -> float:

@@ -5,12 +5,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eomsim import verify
-from eomsim.cli import CSV_HEADERS, RECORDS, emit_run, main, run_points
+from eomsim.cli import CSV_HEADERS, RECORDS, _column_text, emit_run, main, run_points
 from eomsim.config import parse_config
+from eomsim.engine import PairTable
 import regen_goldens
 from regen_goldens import golden_runs
 
@@ -41,11 +43,17 @@ def test_regen_writes_the_checked_in_goldens(monkeypatch, tmp_path):
 
 
 def _json_dumps_run(command, points):
-    """The run as json.dumps(indent=2) prints it, each record tuple an object of its kind's keys."""
+    """The run as json.dumps(indent=2) prints it, each record an object of its kind's keys."""
     keys = {kind: [key for key, _conversion in fields] for kind, fields in RECORDS.items()}
-    points = [{field: [dict(zip(keys[field], r)) for r in value] if field in RECORDS else value
-               for field, value in p.items()} for p in points]
+    points = [{field: [dict(zip(keys[field], r)) for r in _record_tuples(field, value)]
+               if field in RECORDS else value for field, value in p.items()} for p in points]
     return json.dumps({"command": command, "points": points}, indent=2) + "\n"
+
+
+def _record_tuples(kind, records):
+    if kind == "pairs":  # a PairTable of columns
+        return zip(*(column.tolist() for column in records))
+    return records
 
 
 @pytest.mark.parametrize("command, config", sorted({(c, f) for c, f, _golden in golden_runs()}))
@@ -58,8 +66,15 @@ def test_json_writer_equals_json_dumps_on_golden_runs(command, config):
 
 FLOATS = st.floats() | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
 INTS = st.integers(-(2**70), 2**70)
+INT64S = st.integers(-(2**63), 2**63 - 1)
 SCALARS = (INTS | FLOATS | st.sampled_from(["exact", "optical"]) | st.lists(FLOATS, max_size=3)
            | st.dictionaries(st.sampled_from(["both_port1", "split", "both_port2"]), FLOATS))
+
+
+def _pair_table(records):
+    columns = zip(*records) if records else [()] * len(PairTable._fields)
+    return PairTable(*(np.array(column, dtype=np.int64 if conversion == "d" else np.float64)
+                       for column, (_key, conversion) in zip(columns, RECORDS["pairs"])))
 
 
 @st.composite
@@ -71,9 +86,12 @@ def _runs(draw):
                                    unique=True)):
             point[field] = draw(SCALARS)
         for kind in draw(st.lists(st.sampled_from(sorted(RECORDS)), unique=True)):
-            record = st.tuples(*(INTS if conversion == "d" else FLOATS
+            ints = INT64S if kind == "pairs" else INTS
+            record = st.tuples(*(ints if conversion == "d" else FLOATS
                                  for _key, conversion in RECORDS[kind]))
             point[kind] = draw(st.lists(record, max_size=4))
+            if kind == "pairs":
+                point[kind] = _pair_table(point[kind])
         points.append(point)
     return draw(st.sampled_from(sorted(CSV_HEADERS))), points
 
@@ -85,17 +103,45 @@ def test_json_writer_equals_json_dumps(run):
     assert emit_run(command, points, "json") == _json_dumps_run(command, points)
 
 
+SUBNORMALS = st.sampled_from([5e-324, -5e-324, 2.225073858507201e-308, -1e-310])
+
+
+@st.composite
+def _repeating_columns(draw):
+    """A float column drawn from a small pool of values, so that values repeat."""
+    pool = draw(st.lists(FLOATS | SUBNORMALS, min_size=1, max_size=6))
+    return np.array(draw(st.lists(st.sampled_from(pool), max_size=40)), dtype=np.float64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_repeating_columns(), st.sampled_from(["%r", "%.17g", '"re": %r\n        }', "0,pair,%.17g"]))
+@example(np.array([0.0, -0.0, 0.0, -0.0]), "%r")
+@example(np.array([math.nan, math.inf, -math.inf, 5e-324, math.nan]), "%.17g")
+@example(np.array([-0.0]), "%.17g")
+@example(np.array([], dtype=np.float64), "%r")
+def test_column_text_equals_per_value_formatting(column, template):
+    assert _column_text(column, template) == [template % x for x in column.tolist()]
+
+
 def test_no_record_key_holds_an_n():
     # the JSON writer takes any "n" in a record list's text for a non-finite float
     assert not [key for fields in RECORDS.values() for key, _conversion in fields if "n" in key]
 
 
 def test_json_writer_spells_non_finite_floats_as_json_does():
-    point = {"point": 0, "norm": math.nan, "pairs": [(1, 2, 1, 2, -0.0, math.inf, math.nan)],
+    point = {"point": 0, "norm": math.nan, "pairs": _pair_table([(1, 2, 1, 2, -0.0, math.inf, math.nan)]),
              "samples": [(0.0, -math.inf), (1.5, 2.0)], "phasors": []}
     text = emit_run("two-photon", [point], "json")
     assert text == _json_dumps_run("two-photon", [point])
     assert '"im": Infinity' in text and '"field": -Infinity' in text and '"re": -0.0' in text
+
+
+def test_empty_pair_table_prints_an_empty_list():
+    point = {"point": 0, "pairs": _pair_table([]), "norm": 0.0, "sectors": {}, "singular_values": []}
+    text = emit_run("two-photon", [point], "json")
+    assert text == _json_dumps_run("two-photon", [point])
+    assert '"pairs": []' in text
+    assert emit_run("two-photon", [point], "csv") == CSV_HEADERS["two-photon"] + "\n0,norm,,,,,,,0\n"
 
 
 def test_repeated_runs_are_identical(tmp_path):

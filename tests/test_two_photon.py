@@ -1,14 +1,17 @@
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eomsim.engine import PRESETS, port_entanglement, preset, two_photon_output
+from eomsim.cli import emit_run, run_points
+from eomsim.config import parse_config
+from eomsim.engine import PRESETS, PairTable, port_entanglement, preset, two_photon_output
 from eomsim.phase_mod import PMConfig, Truncation, pm_scatter_row
-from oracles import (pair_table_accumulated, pair_table_loop, schmidt_dense, schmidt_range,
-                     sum_left, two_photon_dc_closed_form)
+from oracles import (pair_records_loop, pair_table_accumulated, pair_table_loop, schmidt_dense,
+                     schmidt_range, sum_left, two_photon_dc_closed_form)
 
 DPHI_GRID = [0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2]
 
@@ -205,6 +208,35 @@ def test_pair_arrays_match_the_python_loop(name, bias, m, tones, n0):
 )
 def test_pair_arrays_match_the_python_loop_on_random_devices(name, tones, bias, m, n0, model):
     _assert_pairs_match_loop(two_photon_output(_pair_device(name, bias, m, tones), n0, model=model))
+
+
+def _pair_points(case):
+    """The two-photon run points of a `PAIR_STATES` case, or of a shipped config."""
+    if case.endswith(".json"):
+        config = Path(__file__).resolve().parent.parent / "configs" / case
+        return run_points(parse_config(config.read_text()))
+    *device, n0 = PAIR_STATES[case]
+    state = two_photon_output(_pair_device(*device), n0)
+    return [{"point": 0, "norm": state.norm_sq(), "pairs": state.pairs,
+             "sectors": state.sector_probabilities(), "singular_values": []}]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", ["depth-cap", "wall-n2", "dc-m0.4-n60", "dc_two_photon.json"])
+def test_pair_writer_matches_the_per_record_writer(case, fmt):
+    points = _pair_points(case)
+    text = emit_run("two-photon", points, fmt)
+    want = [pair_records_loop(p["pairs"], fmt) for p in points]
+    if fmt == "csv":
+        got = [line for line in text.splitlines() if line.split(",", 2)[1] == "pair"]
+        assert got == ["%d,%s" % (p["point"], r) for p, records in zip(points, want) for r in records]
+        return
+    # the run's text with each point's pairs emptied, then the reference's records put back
+    empty = [{**p, "pairs": PairTable(*(column[:0] for column in p["pairs"]))} for p in points]
+    pieces = emit_run("two-photon", empty, fmt).split('"pairs": []')
+    assert len(pieces) == len(points) + 1
+    assert text == pieces[0] + "".join('"pairs": [\n%s\n      ]' % ",\n".join(records) + piece
+                                       for records, piece in zip(want, pieces[1:]))
 
 
 @pytest.mark.parametrize("name, bias, m, tones, n0", PAIR_STATES.values(), ids=PAIR_STATES)
