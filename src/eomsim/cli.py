@@ -243,10 +243,7 @@ def _json_records(kind: str, records) -> str:
     texts[-1] += "\n      ]"
     text = ",\n".join(texts)
     if "n" in text:  # a "nan" or "inf", which json writes as NaN and Infinity
-        keys = [key for key, _conversion in RECORDS[kind]]
-        if kind == "pairs":
-            records = zip(*(column.tolist() for column in records))
-        return _json_value([dict(zip(keys, r)) for r in records])
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
     return text
 
 
@@ -282,7 +279,7 @@ def _write_output(text: str, out_path: str | None) -> int:
     return 0
 
 
-def _load_config(path: str, command: str) -> tuple[RunConfig | None, int]:
+def _load_config(path: str, command: str, model: str | None = None) -> tuple[RunConfig | None, int]:
     """Read and parse a config for `command`; on failure, report and return the exit status."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -291,7 +288,7 @@ def _load_config(path: str, command: str) -> tuple[RunConfig | None, int]:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return None, 2
     try:
-        rc = parse_config(text)
+        rc = parse_config(text, model)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None, 1
@@ -303,13 +300,9 @@ def _load_config(path: str, command: str) -> tuple[RunConfig | None, int]:
 
 
 def _cmd_run(args) -> int:
-    rc, status = _load_config(args.config, args.command)
+    rc, status = _load_config(args.config, args.command, args.model)
     if status:
         return status
-    if args.model is not None:
-        rc = dataclasses.replace(
-            rc, points=tuple(dataclasses.replace(pt, model=args.model) for pt in rc.points)
-        )
     try:
         points = run_points(rc)
     except ValueError as exc:

@@ -6,6 +6,11 @@ model, and output options.  An optional "sweep" list of override documents
 produces one output block per point.  Every object may carry a free-text
 "description" field, which is ignored.
 
+A mean-field point is measured, not modelled: parsing computes the coherent
+output the run will sample and refuses the point unless every occupied mode
+n has a finite frequency omega_n and phase omega_n*t, and the triangle bound
+2 * sum_n |field_scale| |A_n| sqrt(omega_n) on every sample is at most 1e300.
+
 Validation errors name the offending field by path and are raised as
 :class:`ConfigError`, which the CLI maps to exit status 1.
 """
@@ -19,10 +24,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import EOMConfig, _check_port, dsb_settings, preset, ssb_settings, PRESETS
-from .lattice import _check_mode, decompose_mode, mode_omega
-from .phase_mod import (MODELS, MultitonePMConfig, PMConfig, ToneDrive, Truncation,
-                        pm_multitone_row, retained_halfwidth)
+from .engine import (EOMConfig, _check_port, _sum_in_order, coherent_output, dsb_settings, preset,
+                     ssb_settings, PRESETS)
+from .lattice import _check_mode, mode_omega
+from .phase_mod import MODELS, MultitonePMConfig, PMConfig, ToneDrive, Truncation, pm_multitone_row
 from .splitters import SplitterSpec
 
 COMMANDS = ("spectrum", "coherent", "two-photon", "mean-field", "verify")
@@ -76,8 +81,8 @@ class RunConfig:
     tolerance_scale: float = 1.0
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate a JSON configuration document."""
+def parse_config(text: str, model: str | None = None) -> RunConfig:
+    """Parse and validate a JSON configuration document; a `model` replaces each point's own."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -111,11 +116,11 @@ def parse_config(text: str) -> RunConfig:
     for i, override in enumerate(sweep or [{}]):
         prefix = f"sweep[{i}]." if sweep else ""
         _check_keys(override, point_fields, prefix, command)
-        points.append(_resolve_point(_deep_merge(base, override), command, prefix))
+        points.append(_resolve_point(_deep_merge(base, override), command, prefix, model))
     return RunConfig(command=command, fmt=fmt, points=tuple(points))
 
 
-def _resolve_point(doc: dict, command: str, prefix: str) -> RunPoint:
+def _resolve_point(doc: dict, command: str, prefix: str, model_override: str | None) -> RunPoint:
     if doc.get("command", command) != command:
         raise ConfigError(f"{prefix}command: sweep points cannot change the command")
 
@@ -175,7 +180,8 @@ def _resolve_point(doc: dict, command: str, prefix: str) -> RunPoint:
         _check_port(port)
     alpha = _parse_alpha(inp, here) if "alpha" in input_fields else None
 
-    model = _one_of(doc, "model", prefix, MODELS, default="exact")
+    model = _one_of(doc, "model", prefix, MODELS, default="exact")  # checked even when overridden
+    model = model_override or model
 
     here = prefix + "truncation"
     tr = _get(doc, "truncation", prefix, dict, default={})
@@ -183,6 +189,11 @@ def _resolve_point(doc: dict, command: str, prefix: str) -> RunPoint:
     with _field(here):
         truncation = Truncation(eps=_get(tr, "eps", here, float, default=1e-12),
                                 margin=_get(tr, "margin", here, int, default=8))
+
+    for key, arm in (("arm1", eom.pm1), ("arm2", eom.pm2)):
+        for i, t in enumerate(arm.tones if isinstance(arm, MultitonePMConfig) else ()):
+            with _field(f"{prefix}input.mode, {prefix}arms.{key}.tones[{i}]"):
+                pm_multitone_row(n0, replace(arm, tones=(t,)))
 
     mf = None
     if command == "mean-field":
@@ -209,43 +220,30 @@ def _resolve_point(doc: dict, command: str, prefix: str) -> RunPoint:
             if not math.isfinite(step):
                 raise ConfigError(f"{here}.t_stop: t_stop - t_start must be finite")
             times = tuple((t0 + np.arange(ns) * step).tolist())
-        reach = [_reach(arm, n0, truncation) for arm in (eom.pm1, eom.pm2)]
-        try:
-            omega = mode_omega(max(top for top, _ in reach), nu, length)
-        except OverflowError:  # the mode number itself does not fit a float
-            omega = math.inf
-        if not (math.isfinite(omega) and math.isfinite(omega * max(abs(times[0]), abs(times[-1])))):
-            raise ConfigError(f"{prefix}input.mode, {here}.t_stop: mean-field needs a finite frequency "
-                              "2*pi*mode*nu/length and phase omega*t for the top reachable mode at the largest |t|")
-        # a sample sums 2*Re(phasor*exp(-j omega t)) over the occupied modes, and
-        # |phasor| <= |field_scale*alpha|*sqrt(omega) times the mode's row amplitudes
-        bound = 2.0 * math.sqrt(2.0) * abs(fs * alpha) * math.sqrt(omega) * sum(r for _, r in reach)
+        with _field(prefix + "input"):
+            amps = coherent_output(eom, port, n0, alpha, truncation, model).port(mf_port)
+        t_max = max(abs(times[0]), abs(times[-1]))
+        terms = []
+        for mode, amp in amps.items():
+            try:
+                omega = mode_omega(mode, nu, length)
+            except OverflowError:  # the mode number itself does not fit a float
+                omega = math.inf
+            if not (math.isfinite(omega) and math.isfinite(omega * t_max)):
+                raise ConfigError(f"{prefix}input.mode, {here}.t_stop: mean-field needs a finite frequency "
+                                  "2*pi*mode*nu/length and phase omega*t for every occupied mode at the largest |t|")
+            terms.append(abs(fs) * abs(amp) * math.sqrt(omega))
+        # a sample sums 2*Re(phasor*exp(-j omega t)) over the occupied modes,
+        # with |phasor| = |field_scale*amplitude|*sqrt(omega)
+        bound = 2.0 * _sum_in_order(terms)
         if not bound <= _MAX_FIELD:
             raise ConfigError(f"{here}.field_scale, {prefix}input.alpha: the sampled field must stay below "
-                              f"{_MAX_FIELD:g}, but 2*sqrt(2)*|field_scale*alpha|*sqrt(omega) at the top "
-                              f"reachable mode times the arms' summed amplitudes is {bound:.3g}")
+                              f"{_MAX_FIELD:g}, but 2*|field_scale|*|amplitude|*sqrt(omega) summed over "
+                              f"the port's occupied modes is {bound:.3g}")
         mf = MeanFieldParams(port=mf_port, times=times, nu=nu, length=length, field_scale=fs)
-
-    for key, arm in (("arm1", eom.pm1), ("arm2", eom.pm2)):
-        for i, t in enumerate(arm.tones if isinstance(arm, MultitonePMConfig) else ()):
-            with _field(f"{prefix}input.mode, {prefix}arms.{key}.tones[{i}]"):
-                pm_multitone_row(n0, replace(arm, tones=(t,)))
 
     return RunPoint(eom=eom, input_port=port, n0=n0, alpha=alpha, truncation=truncation,
                     model=model, mean_field=mf)
-
-
-def _reach(arm, n0: int, truncation: Truncation) -> tuple[int, float]:
-    """Top lattice mode an arm's row reaches from carrier n0, and a bound on its sum of |amplitude|."""
-    if isinstance(arm, MultitonePMConfig):
-        return (n0 + max((drive.tone for drive in arm.tones), default=0),
-                1.0 + 2.0 * sum(drive.m for drive in arm.tones))
-    if arm is None or arm.m == 0.0:
-        return n0, 1.0
-    dec = decompose_mode(n0, arm.tone)
-    hw = retained_halfwidth(arm.m, truncation)
-    # each exact entry J_s - (-1)^q0 J_{s+2q0} has magnitude at most 2
-    return (dec.q0 + hw) * arm.tone - dec.r0, 2.0 * (2 * hw + 1)
 
 
 def _parse_splitter(parent: dict, key: str, path: str) -> SplitterSpec:

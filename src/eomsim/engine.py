@@ -66,12 +66,6 @@ class EOMConfig:
             if val is not None and not isinstance(val, (PMConfig, MultitonePMConfig)):
                 raise ValueError(f"{name} must be PMConfig, MultitonePMConfig or None")
 
-    def coeffs_in(self) -> SplitterCoeffs:
-        return splitter_coeffs(self.splitter_in)
-
-    def coeffs_out(self) -> SplitterCoeffs:
-        return splitter_coeffs(self.splitter_out)
-
 
 @dataclass(frozen=True)
 class TwoPortSpectrum:
@@ -263,7 +257,8 @@ def single_photon_output(
     _check_port(input_port)
     row1 = _arm_row(cfg.pm1, n0, truncation, model)
     row2 = _arm_row(cfg.pm2, n0, truncation, model)
-    (w11, w12), (w21, w22) = _port_weights(cfg.coeffs_in(), cfg.coeffs_out(), input_port)
+    (w11, w12), (w21, w22) = _port_weights(splitter_coeffs(cfg.splitter_in),
+                                           splitter_coeffs(cfg.splitter_out), input_port)
     return TwoPortSpectrum(
         port1=_accumulate(w11, row1, w12, row2),
         port2=_accumulate(w21, row1, w22, row2),
@@ -362,14 +357,16 @@ def mean_field(
     return MeanFieldSeries(times=tuple(tarr.tolist()), values=tuple(values.tolist()), terms=terms)
 
 
-def _sum_in_order(values) -> float:
-    """Float sum added left to right from 0.0.
+def _sum_in_order(values, start: float | complex = 0.0) -> float | complex:
+    """Sum added left to right from `start`: 0.0 for floats, 0j for complex values.
 
-    The builtin sum() compensates its rounding from Python 3.12 on, so the
-    printed totals would depend on the interpreter; np.sum adds pairwise.
+    The builtin sum() compensates its float rounding from Python 3.12 on, and
+    its complex rounding from 3.14, so the printed totals would depend on the
+    interpreter; np.sum adds pairwise.
     """
-    arr = np.asarray(values, dtype=float)
-    return 0.0 + float(np.add.accumulate(arr)[-1]) if arr.size else 0.0
+    kind = type(start)
+    arr = np.asarray(values, dtype=kind)
+    return start + kind(np.add.accumulate(arr)[-1]) if arr.size else start
 
 
 def _check_port(port: int) -> None:

@@ -34,6 +34,7 @@ from .engine import (
     EOMConfig,
     TwoPortSpectrum,
     _check_port,
+    _sum_in_order,
     coherent_output,
     dsb_settings,
     mean_field,
@@ -140,8 +141,9 @@ def composition_oracle(cfg: EOMConfig, input_port: int, n0: int) -> TwoPortSpect
             for arm in arms]
     modes = sorted(rows[0].keys() | rows[1].keys())
     arm_vecs = np.array([[row.get(n, 0.0) for n in modes] for row in rows], dtype=np.complex128)
-    mat_in = cfg.coeffs_in().as_matrix()
-    port_vecs = cfg.coeffs_out().as_matrix().T @ (mat_in[input_port - 1, :, None] * arm_vecs)
+    mat_in = splitter_coeffs(cfg.splitter_in).as_matrix()
+    mat_out = splitter_coeffs(cfg.splitter_out).as_matrix()
+    port_vecs = mat_out.T @ (mat_in[input_port - 1, :, None] * arm_vecs)
     port1, port2 = (
         {n: complex(a) for n, a in zip(modes, vec) if a != 0.0} for vec in port_vecs
     )
@@ -242,8 +244,9 @@ def check_scatter_unitarity(scale: float = 1.0) -> CheckResult:
         cfg = PMConfig(phi_b=0.3, m=m, theta_rf=0.7, tone=tone)
         row_a = pm_scatter_row(n0, cfg)
         row_b = pm_scatter_row(n0 + tone, cfg)
-        norms.append(abs(sum(abs(v) ** 2 for v in row_a.values()) - 1.0))
-        inners.append(abs(sum(v * row_b[k].conjugate() for k, v in row_a.items() if k in row_b)))
+        norms.append(abs(_sum_in_order([abs(v) ** 2 for v in row_a.values()]) - 1.0))
+        products = [v * row_b[k].conjugate() for k, v in row_a.items() if k in row_b]
+        inners.append(abs(_sum_in_order(products, 0j)))
     return _result(2, "scatter_unitarity", [("norm defect", norms, 1e-10 * scale),
                                             ("orthogonality", inners, 1e-8 * scale)])
 
@@ -447,13 +450,9 @@ def check_small_signal(scale: float = 1.0) -> CheckResult:
     series = mean_field(out, 1, times=tuple(k / 64 for k in range(65)), field_scale=0.7)
     phasors = [abs(phasor - 1j * complex(0.7) * complex(math.sqrt(mode_omega(mode))) * out.port1[mode])
                for mode, _omega, phasor in series.terms]
-    fields = []
-    for t, value in zip(series.times, series.values):
-        # left to right from 0.0: the builtin sum() compensates from Python 3.12 on
-        field = 0.0
-        for _n, om, ph in series.terms:
-            field += 2.0 * (ph * complex(math.cos(om * t), -math.sin(om * t))).real
-        fields.append(abs(field - value))
+    fields = [abs(_sum_in_order([2.0 * (ph * complex(math.cos(om * t), -math.sin(om * t))).real
+                                 for _n, om, ph in series.terms]) - value)
+              for t, value in zip(series.times, series.values)]
 
     return _result(10, "small_signal", [("relative defect", rels, 1e-5 * scale),
                                         ("phasor identity defect", phasors, 0.0),

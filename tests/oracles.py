@@ -23,8 +23,10 @@ retained window in one fixed-length Bessel array that ignores eps,
 matrix that `port_entanglement` reads off the two one-photon outputs (by a
 full SVD and by a randomized range finder),
 `mean_field_scalar` samples the classical field one time and one term at a
-time with stdlib trigonometry, and `sample_grid_loop` builds a mean-field
-sample grid one time at a time.
+time with stdlib trigonometry, `sample_grid_loop` builds a mean-field
+sample grid one time at a time, and `arm_reach` models an arm's top mode and
+summed row amplitudes without evaluating the row, the a-priori field bound
+the config parser used before it measured the point's own output.
 """
 
 import cmath
@@ -35,8 +37,9 @@ import numpy as np
 
 from eomsim.engine import MeanFieldSeries, PairTable, TwoPhotonState, TwoPortSpectrum
 from eomsim.lattice import TWO_PI, decompose_mode, mode_omega
-from eomsim.phase_mod import PMConfig, Truncation, pm_scatter_row, retained_halfwidth
+from eomsim.phase_mod import MultitonePMConfig, PMConfig, Truncation, pm_scatter_row, retained_halfwidth
 from eomsim.special import bessel_j_array
+from eomsim.splitters import splitter_coeffs
 
 
 def bessel_series(s: int, m: float, terms: int = 60) -> float:
@@ -175,8 +178,8 @@ def composition_full(cfg, input_port: int, n0: int, n_max: int) -> np.ndarray:
         else:
             row = pm_generator_full(arm, n_max)[n0 - 1]
         arms.append(row)
-    w_in = cfg.coeffs_in().as_matrix()[input_port - 1]
-    mat_out = cfg.coeffs_out().as_matrix()
+    w_in = splitter_coeffs(cfg.splitter_in).as_matrix()[input_port - 1]
+    mat_out = splitter_coeffs(cfg.splitter_out).as_matrix()
     arm1, arm2 = w_in[0] * arms[0], w_in[1] * arms[1]
     return np.array([
         mat_out[0, 0] * arm1 + mat_out[1, 0] * arm2,
@@ -256,7 +259,7 @@ def single_drive_output(cfg, n0: int, truncation=None, model: str = "exact") -> 
         raise ValueError("single-drive closed form requires an undriven arm 2")
     if not isinstance(cfg.pm1, PMConfig):
         raise ValueError("single-drive closed form requires an exact single-tone arm 1")
-    ci, co = cfg.coeffs_in(), cfg.coeffs_out()
+    ci, co = splitter_coeffs(cfg.splitter_in), splitter_coeffs(cfg.splitter_out)
     # (arm 1, arm 2) weights from input port 1 to output port 1, then port 2
     got = (ci.tp * co.tp, ci.rp * co.r, ci.tp * co.rp, ci.rp * co.t)
     expected = (0.5, 0.5, -0.5, 0.5)
@@ -474,3 +477,28 @@ def sample_grid_loop(t_start: float, t_stop: float, samples: int) -> tuple[float
         return (float(t_start),)
     step = (t_stop - t_start) / (samples - 1)
     return tuple(t_start + k * step for k in range(samples))
+
+
+def arm_reach(arm, n0: int, truncation: Truncation) -> tuple[int, float]:
+    """Top lattice mode an arm's row reaches from carrier n0, and a bound on its sum of |amplitude|."""
+    if isinstance(arm, MultitonePMConfig):
+        return (n0 + max((drive.tone for drive in arm.tones), default=0),
+                1.0 + 2.0 * sum(drive.m for drive in arm.tones))
+    if arm is None or arm.m == 0.0:
+        return n0, 1.0
+    dec = decompose_mode(n0, arm.tone)
+    hw = retained_halfwidth(arm.m, truncation)
+    # each exact entry J_s - (-1)^q0 J_{s+2q0} has magnitude at most 2
+    return (dec.q0 + hw) * arm.tone - dec.r0, 2.0 * (2 * hw + 1)
+
+
+def reach_field_bound(eom, n0: int, truncation: Truncation) -> tuple[int, float]:
+    """The top reachable mode, and the field bound per unit |field_scale*alpha| at nu = 1, length = 2*pi.
+
+    2*sqrt(2)*sqrt(omega_top) times the arms' summed amplitude bounds from
+    `arm_reach`: the rule the config parser applied before it measured the
+    point's output.
+    """
+    reach = [arm_reach(arm, n0, truncation) for arm in (eom.pm1, eom.pm2)]
+    top = max(top for top, _ in reach)
+    return top, 2.0 * math.sqrt(2.0) * math.sqrt(mode_omega(top)) * sum(r for _, r in reach)

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eomsim import config, phase_mod
+from eomsim.cli import main
 from eomsim.config import ConfigError, parse_config
+from eomsim.engine import coherent_output
 from eomsim.phase_mod import MultitonePMConfig, PMConfig
-from oracles import sample_grid_loop
+from oracles import reach_field_bound, sample_grid_loop
 
 
 def _doc(**overrides):
@@ -256,6 +258,105 @@ def test_mean_field_grid_equals_one_product_per_sample(t_start, t_stop, samples)
     want = sample_grid_loop(t_start, t_stop, samples)
     assert array("d", times).tobytes() == array("d", want).tobytes()
 
+
+@st.composite
+def _arm_docs(draw, n0):
+    """An exact, multitone or undriven arm: m in [0, 50], multitone tones on the lattice."""
+    kind = draw(st.sampled_from(["exact", "multitone", None]))
+    depth = st.floats(0.0, 50.0)
+    if kind == "exact":
+        return {"phi_b": draw(st.floats(-4.0, 4.0)), "m": draw(depth),
+                "theta_rf": draw(st.floats(-4.0, 4.0)), "tone": draw(st.integers(1, 9))}
+    if kind == "multitone":
+        # each lower sideband stays on the lattice: tone <= n0 - 1
+        tones = [] if n0 == 1 else draw(st.lists(
+            st.fixed_dictionaries({"m": depth, "tone": st.integers(1, min(9, n0 - 1))}), max_size=3))
+        return {"phi_b": draw(st.floats(-4.0, 4.0)), "tones": tones,
+                "convention": draw(st.sampled_from(["full", "half"]))}
+    return None
+
+
+@st.composite
+def _mean_field_points(draw):
+    n0 = draw(st.integers(1, 10) | st.integers(1, 100_000))
+    name = draw(st.sampled_from(config.PRESETS))
+    arm2 = None if name.endswith("_single") else draw(_arm_docs(n0))
+    return {"command": "mean-field", "preset": name, "model": draw(st.sampled_from(config.MODELS)),
+            "arms": {"arm1": draw(_arm_docs(n0)), "arm2": arm2},
+            "input": {"port": draw(st.sampled_from([1, 2])), "mode": n0, "alpha": 1.0},
+            "mean_field": {"port": draw(st.sampled_from([1, 2])), "t_stop": 1.0, "samples": 2}}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mean_field_points())
+def test_measured_field_bound_refuses_no_point_the_reach_model_accepted(doc):
+    # every occupied mode is one the arm rows reach, and each output amplitude
+    # is at most the sum of the arm entries, so the measured triangle bound is
+    # at most the reach model's bound over sqrt(2): a field_scale that puts
+    # the latter at the cap times sqrt(2) still passes
+    pt = _parse(doc).points[0]
+    top, per_unit = reach_field_bound(pt.eom, pt.n0, pt.truncation)
+    amps = coherent_output(pt.eom, pt.input_port, pt.n0, pt.alpha, pt.truncation, pt.model)
+    assert max(amps.port(pt.mean_field.port), default=pt.n0) <= top
+    doc["mean_field"]["field_scale"] = math.sqrt(2.0) * config._MAX_FIELD / per_unit * (1.0 - 1e-9)
+    assert _parse(doc).points[0].mean_field.field_scale == doc["mean_field"]["field_scale"]
+
+
+FIELD_BOUND_EXAMPLE = {
+    "command": "mean-field", "preset": "yb_dual", "drive": {"type": "dsb", "m": 0.5, "tone": 3},
+    "input": {"mode": 1000, "alpha": 1e150},
+    "mean_field": {"t_stop": 1.0, "samples": 4, "field_scale": 1e148},
+}
+
+
+def test_measured_field_bound_accepts_a_point_the_reach_model_refused(tmp_path, capsys):
+    # the reach model bounded this point's field by 1.36e302 and refused it;
+    # its largest sample is 2.48e299
+    pt = _parse(FIELD_BOUND_EXAMPLE).points[0]
+    _top, per_unit = reach_field_bound(pt.eom, pt.n0, pt.truncation)
+    assert 1e148 * 1e150 * per_unit == pytest.approx(1.36e302, rel=1e-3)
+    path = tmp_path / "example.json"
+    path.write_text(json.dumps(FIELD_BOUND_EXAMPLE))
+    assert main(["mean-field", "--config", str(path)]) == 0
+    fields = [float(line.split(",")[-1]) for line in capsys.readouterr().out.splitlines()
+              if line.startswith("0,sample,")]
+    assert len(fields) == 4 and all(math.isfinite(f) for f in fields)
+    assert max(map(abs, fields)) == pytest.approx(2.484e299, rel=1e-3)
+
+
+def test_measured_field_bound_refusal_names_the_measured_sum():
+    doc = dict(FIELD_BOUND_EXAMPLE, mean_field={"t_stop": 1.0, "samples": 4, "field_scale": 1e151})
+    with pytest.raises(ConfigError) as exc:
+        _parse(doc)
+    assert str(exc.value) == (
+        "mean_field.field_scale, input.alpha: the sampled field must stay below 1e+300, but "
+        "2*|field_scale|*|amplitude|*sqrt(omega) summed over the port's occupied modes is 3.1e+302")
+
+
+def test_model_argument_replaces_every_points_model():
+    doc = _doc(model="exact", sweep=[{}, {"model": "optical"}])
+    assert [pt.model for pt in _parse(doc).points] == ["exact", "optical"]
+    assert [pt.model for pt in parse_config(json.dumps(doc), "optical").points] == ["optical"] * 2
+    # the document's own model is still checked
+    with pytest.raises(ConfigError, match="model"):
+        parse_config(json.dumps(_doc(model="heisenberg")), "optical")
+
+
+def test_cli_model_reaches_the_measured_point(tmp_path, monkeypatch, capsys):
+    # the mean-field bound is measured with the model the run uses
+    measured = []
+    real = config.coherent_output
+
+    def recording(*args):
+        measured.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(config, "coherent_output", recording)
+    path = tmp_path / "mf.json"
+    path.write_text(json.dumps(FIELD_BOUND_EXAMPLE))
+    assert main(["mean-field", "--config", str(path), "--model", "optical", "--format", "json"]) == 0
+    assert measured == ["optical"]
+    assert [p["model"] for p in json.loads(capsys.readouterr().out)["points"]] == ["optical"]
 
 def test_error_paths_in_nested_arms():
     doc = {

@@ -10,7 +10,8 @@ output path, so its bytes do not depend on the interpreter.
 This module imports a second copy of the package under another name, with
 every binary + - * / (and every augmented one on a plain name) routed
 through `c99_binop`, which applies the new rule where Python's complex type
-does the arithmetic, and runs each golden config through that copy's CLI.
+does the arithmetic, runs each golden config through that copy's CLI, and
+compares that copy's verify report with the native one.
 """
 
 import ast
@@ -148,3 +149,10 @@ def test_golden_bytes_under_c99_mixed_arithmetic(c99_cli, tmp_path, command, con
     argv = [command, "--config", str(CONFIGS / config), "--format", out.suffix[1:], "--out", str(out)]
     assert c99_cli.main(argv) == 0
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+def test_verify_report_under_c99_mixed_arithmetic(c99_cli):
+    c99_verify = sys.modules[ALIAS + ".verify"]
+    native, c99 = eomsim.verify.run_all(), c99_verify.run_all()
+    for fmt in ("csv", "json"):
+        assert c99_cli.emit_verify(c99, 1.0, fmt) == eomsim.cli.emit_verify(native, 1.0, fmt)
