@@ -11,6 +11,7 @@ from .engine import (
     EOMConfig,
     MeanFieldSeries,
     PRESETS,
+    SampleGrid,
     TwoPhotonState,
     TwoPortSpectrum,
     coherent_output,
@@ -51,6 +52,7 @@ __all__ = [
     "MultitonePMConfig",
     "PMConfig",
     "PRESETS",
+    "SampleGrid",
     "SidebandDecomposition",
     "SplitterCoeffs",
     "SplitterSpec",

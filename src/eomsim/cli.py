@@ -145,7 +145,7 @@ def _two_photon_point(pt: RunPoint, idx: int) -> dict:
 def _mean_field_point(pt: RunPoint, idx: int) -> dict:
     mf = pt.mean_field
     spec = coherent_output(pt.eom, pt.input_port, pt.n0, pt.alpha, pt.truncation, pt.model)
-    series = mean_field(spec, mf.port, mf.times, mf.nu, mf.length, mf.field_scale)
+    series = mean_field(spec, mf.port, mf.grid, mf.nu, mf.length, mf.field_scale)
     return {
         "point": idx,
         "input_port": pt.input_port,
@@ -154,7 +154,7 @@ def _mean_field_point(pt: RunPoint, idx: int) -> dict:
         "port": mf.port,
         "model": pt.model,
         "phasors": [(mode, omega, ph.real, ph.imag) for mode, omega, ph in series.terms],
-        "samples": list(zip(series.times, series.values)),
+        "samples": list(zip(series.times.tolist(), series.values.tolist())),
     }
 
 

@@ -8,7 +8,9 @@ produces one output block per point.  Every object may carry a free-text
 
 A mean-field point is measured, not modelled: parsing computes the coherent
 output the run will sample and refuses the point unless every occupied mode
-n has a finite frequency omega_n and phase omega_n*t, and the triangle bound
+n has a finite frequency omega_n, finite phases omega_n*t at the largest |t|
+and omega_n*|t_stop - t_start| (the sampler's offsets within a block), a
+finite |field_scale|*sqrt(omega_n), and the triangle bound
 2 * sum_n |field_scale| |A_n| sqrt(omega_n) on every sample is at most 1e300.
 
 Validation errors name the offending field by path and are raised as
@@ -24,15 +26,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import (EOMConfig, _check_port, _sum_in_order, coherent_output, dsb_settings, preset,
-                     ssb_settings, PRESETS)
+from .engine import (EOMConfig, SampleGrid, _check_port, _sum_in_order, coherent_output, dsb_settings,
+                     preset, ssb_settings, PRESETS)
 from .lattice import _check_mode, mode_omega
 from .phase_mod import MODELS, MultitonePMConfig, PMConfig, ToneDrive, Truncation, pm_multitone_row
 from .splitters import SplitterSpec
 
 COMMANDS = ("spectrum", "coherent", "two-photon", "mean-field", "verify")
 FORMATS = ("csv", "json")
-_MAX_SAMPLES = 1_000_000  # mean-field sample times are built in memory up front
+_MAX_SAMPLES = 1_000_000  # a mean-field point's samples, and their text, are held in memory
 _MAX_FIELD = 1e300  # bound on the sampled mean field, well inside the float range
 
 _RUN = ("command", "preset", "splitters", "arms", "drive", "input", "model", "truncation")
@@ -54,10 +56,15 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class MeanFieldParams:
     port: int
-    times: tuple[float, ...]
+    grid: SampleGrid
     nu: float
     length: float
     field_scale: float
+
+    @property
+    def times(self) -> np.ndarray:
+        """The grid's sample times, built on each access."""
+        return self.grid.times()
 
 
 @dataclass(frozen=True)
@@ -213,25 +220,23 @@ def _resolve_point(doc: dict, command: str, prefix: str, model_override: str | N
         with _field(here):
             mode_omega(1, nu, length)  # refuses a nu or length <= 0
         fs = _get(mfo, "field_scale", here, float, default=1.0)
-        if ns == 1:
-            times = (float(t0),)
-        else:
-            step = (t1 - t0) / (ns - 1)
-            if not math.isfinite(step):
-                raise ConfigError(f"{here}.t_stop: t_stop - t_start must be finite")
-            times = tuple((t0 + np.arange(ns) * step).tolist())
+        grid = SampleGrid(t0, t1, ns)
+        if not math.isfinite(grid.step):
+            raise ConfigError(f"{here}.t_stop: t_stop - t_start must be finite")
+        t_max = float(np.max(np.abs(grid.times([0, ns - 1]))))
+        span = abs(t1 - t0) if ns > 1 else 0.0  # bounds the sampler's offsets; one sample ignores t_stop
         with _field(prefix + "input"):
             amps = coherent_output(eom, port, n0, alpha, truncation, model).port(mf_port)
-        t_max = max(abs(times[0]), abs(times[-1]))
         terms = []
         for mode, amp in amps.items():
             try:
                 omega = mode_omega(mode, nu, length)
             except OverflowError:  # the mode number itself does not fit a float
                 omega = math.inf
-            if not (math.isfinite(omega) and math.isfinite(omega * t_max)):
+            if not all(map(math.isfinite, (omega, omega * t_max, omega * span))):
                 raise ConfigError(f"{prefix}input.mode, {here}.t_stop: mean-field needs a finite frequency "
-                                  "2*pi*mode*nu/length and phase omega*t for every occupied mode at the largest |t|")
+                                  "2*pi*mode*nu/length and finite phases omega*t at the largest |t| and "
+                                  "omega*|t_stop - t_start| for every occupied mode")
             terms.append(abs(fs) * abs(amp) * math.sqrt(omega))
         # a sample sums 2*Re(phasor*exp(-j omega t)) over the occupied modes,
         # with |phasor| = |field_scale*amplitude|*sqrt(omega)
@@ -240,7 +245,12 @@ def _resolve_point(doc: dict, command: str, prefix: str, model_override: str | N
             raise ConfigError(f"{here}.field_scale, {prefix}input.alpha: the sampled field must stay below "
                               f"{_MAX_FIELD:g}, but 2*|field_scale|*|amplitude|*sqrt(omega) summed over "
                               f"the port's occupied modes is {bound:.3g}")
-        mf = MeanFieldParams(port=mf_port, times=times, nu=nu, length=length, field_scale=fs)
+        # the phasor is formed as (field_scale*sqrt(omega))*amplitude, so its first factor must be finite too
+        for mode in amps:
+            if not math.isfinite(abs(fs) * math.sqrt(mode_omega(mode, nu, length))):
+                raise ConfigError(f"{here}.field_scale: |field_scale|*sqrt(omega) must be finite for every "
+                                  f"occupied mode, but overflows at mode {mode}")
+        mf = MeanFieldParams(port=mf_port, grid=grid, nu=nu, length=length, field_scale=fs)
 
     return RunPoint(eom=eom, input_port=port, n0=n0, alpha=alpha, truncation=truncation,
                     model=model, mean_field=mf)

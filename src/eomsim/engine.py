@@ -170,18 +170,46 @@ class TwoPhotonState:
         }
 
 
+class SampleGrid(NamedTuple):
+    """Uniform sample times t_start + k*step, k = 0..samples-1, both endpoints included.
+
+    step = (t_stop - t_start)/(samples - 1); a one-sample grid is t_start
+    itself, signed zero included.
+    """
+
+    t_start: float
+    t_stop: float
+    samples: int
+
+    @property
+    def step(self) -> float:
+        return 0.0 if self.samples == 1 else (self.t_stop - self.t_start) / (self.samples - 1)
+
+    @property
+    def width(self) -> int:
+        """Samples per block of the mean-field sampler: isqrt(samples - 1) + 1."""
+        return math.isqrt(self.samples - 1) + 1
+
+    def times(self, k=None) -> np.ndarray:
+        """The times at sample indices `k`, every sample by default."""
+        k = np.arange(self.samples) if k is None else np.asarray(k)
+        if self.samples == 1:
+            return np.full(k.shape, float(self.t_start))
+        return self.t_start + k * self.step
+
+
 @dataclass(frozen=True)
 class MeanFieldSeries:
     """Classical field reconstruction: phasor table and sampled waveform.
 
     Each occupied mode contributes the phasor j*xi(omega)*amplitude, with
     xi(omega) = field_scale*sqrt(omega); the real field at time t is
-    sum over modes of (phasor * exp(-j omega t) + c.c.).  `values` are
-    evaluated as arrays and cross-checked by scalar math in verify check 10.
+    sum over modes of (phasor * exp(-j omega t) + c.c.).  `times` and
+    `values` are float arrays, one entry per sample of the grid.
     """
 
-    times: tuple[float, ...]
-    values: tuple[float, ...]
+    times: np.ndarray
+    values: np.ndarray
     terms: tuple[tuple[int, float, complex], ...]  # (mode, omega, phasor)
 
 
@@ -331,30 +359,49 @@ def port_entanglement(state: TwoPhotonState) -> np.ndarray:
 def mean_field(
     spectrum: TwoPortSpectrum,
     port: int,
-    times,
+    grid: SampleGrid,
     nu: float = 1.0,
     length: float = TWO_PI,
     field_scale: float = 1.0,
 ) -> MeanFieldSeries:
-    """Classical field waveform carried by one output port.
+    """Classical field waveform carried by one output port, on a uniform time grid.
 
-    Each mode's displacement amplitude A becomes the phasor j*xi(omega)*A
+    Each mode's displacement amplitude A becomes the phasor P = j*xi(omega)*A
     with xi(omega) = field_scale*sqrt(omega); the sampled field is the sum
-    of phasor*exp(-j omega t) plus conjugate over occupied modes.  It is
-    summed one numpy pass per term over all sample times, with the same
-    float operations as the scalar 2*Re(phasor*complex(cos, -sin)) that
-    verify check 10 recomputes and compares for exact equality.
+    of P*exp(-j omega t) plus conjugate over occupied modes.  Sample k is
+    taken as k = b*J + j, J = `grid.width`: P is rotated to its block's
+    first time t_b = times[b*J] and then by the offset j*step, so each mode
+    costs 2*(B + J) cos/sin, B = ceil(samples/J), instead of 2*samples.  In
+    complex arithmetic, with e(x) = complex(cos(x), -sin(x)), the field is
+    2*Re(sum over modes of P*e(omega*t_b)*e(omega*(j*step))), summed mode
+    by mode from 0.0 in mode order: the float operations that verify check
+    10 repeats in scalar math and compares for exact equality.
     """
     amps = spectrum.port(port)
     omegas = {mode: mode_omega(mode, nu, length) for mode in sorted(amps)}
     terms = tuple((mode, omega, 1j * complex(field_scale) * complex(math.sqrt(omega)) * amps[mode])
                   for mode, omega in omegas.items())
-    tarr = np.asarray(times, dtype=float)
-    values = np.zeros(len(tarr))
-    for _mode, omega, phasor in terms:
-        phase = omega * tarr
-        values += 2.0 * (phasor.real * np.cos(phase) + phasor.imag * np.sin(phase))
-    return MeanFieldSeries(times=tuple(tarr.tolist()), values=tuple(values.tolist()), terms=terms)
+    times = grid.times()
+    width = grid.width
+    # one row per term, one column per block or offset
+    omega = np.array([w for _mode, w, _p in terms], dtype=float)[:, None]
+    phasor = np.array([p for *_, p in terms], dtype=complex)
+    re, im = phasor.real[:, None], phasor.imag[:, None]
+    start = omega * times[::width]
+    cos_b, sin_b = np.cos(start), np.sin(start)
+    rot_re = re * cos_b + im * sin_b  # P*e(omega*t_b)
+    rot_im = im * cos_b - re * sin_b
+    shift = omega * (np.arange(width) * grid.step)
+    cos_j, sin_j = np.cos(shift), np.sin(shift)
+    total = np.zeros((start.shape[1], width))
+    part, other = np.empty_like(total), np.empty_like(total)
+    for block_re, block_im, offset_cos, offset_sin in zip(rot_re, rot_im, cos_j, sin_j):
+        np.multiply.outer(block_re, offset_cos, out=part)
+        np.multiply.outer(block_im, offset_sin, out=other)
+        part += other
+        total += part
+    values = 2.0 * total.ravel()[:grid.samples]
+    return MeanFieldSeries(times=times, values=values, terms=terms)
 
 
 def _sum_in_order(values, start: float | complex = 0.0) -> float | complex:

@@ -32,6 +32,7 @@ import numpy as np
 
 from .engine import (
     EOMConfig,
+    SampleGrid,
     TwoPortSpectrum,
     _check_port,
     _sum_in_order,
@@ -154,6 +155,29 @@ def _arm_lattice(arm: PMConfig, n0: int) -> int:
     dec = decompose_mode(n0, arm.tone)
     hw = retained_halfwidth(arm.m, Truncation())
     return max(n0 + 8, (dec.q0 + hw + 12) * arm.tone)
+
+
+def blocked_field_scalar(terms, grid: SampleGrid) -> list[float]:
+    """The mean field of `terms` at each sample of `grid`, one scalar sample at a time.
+
+    `engine.mean_field`'s blocked arithmetic in math.cos/math.sin and Python
+    complex products: sample k = b*J + j is 2*Re of the sum, from 0.0 in
+    term order, of phasor*e(omega*t_b)*e(omega*(j*step)), with
+    e(x) = complex(cos(x), -sin(x)) and t_b the time of sample b*J.
+    """
+    times = grid.times().tolist()
+    width, step = grid.width, grid.step
+
+    def e(x: float) -> complex:
+        return complex(math.cos(x), -math.sin(x))
+
+    values = []
+    for k in range(grid.samples):
+        block, j = divmod(k, width)
+        t_b, offset = times[block * width], j * step
+        values.append(2.0 * _sum_in_order([(ph * e(om * t_b) * e(om * offset)).real
+                                           for _mode, om, ph in terms]))
+    return values
 
 
 def _spectrum_defects(got: dict[int, complex], want: dict[int, complex]) -> list[float]:
@@ -447,12 +471,12 @@ def check_small_signal(scale: float = 1.0) -> CheckResult:
                  pm1=PMConfig(phi_b=0.2, m=0.3, theta_rf=0.1, tone=2),
                  pm2=PMConfig(phi_b=-0.4, m=0.3, theta_rf=0.9, tone=2))
     out = coherent_output(cfg, 1, 50, 1.2 + 0.3j)
-    series = mean_field(out, 1, times=tuple(k / 64 for k in range(65)), field_scale=0.7)
+    grid = SampleGrid(0.0, 1.0, 65)
+    series = mean_field(out, 1, grid, field_scale=0.7)
     phasors = [abs(phasor - 1j * complex(0.7) * complex(math.sqrt(mode_omega(mode))) * out.port1[mode])
                for mode, _omega, phasor in series.terms]
-    fields = [abs(_sum_in_order([2.0 * (ph * complex(math.cos(om * t), -math.sin(om * t))).real
-                                 for _n, om, ph in series.terms]) - value)
-              for t, value in zip(series.times, series.values)]
+    fields = [abs(want - got)
+              for want, got in zip(blocked_field_scalar(series.terms, grid), series.values.tolist())]
 
     return _result(10, "small_signal", [("relative defect", rels, 1e-5 * scale),
                                         ("phasor identity defect", phasors, 0.0),

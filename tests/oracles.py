@@ -453,7 +453,7 @@ def mean_field_scalar(
     length: float = TWO_PI,
     field_scale: float = 1.0,
 ) -> MeanFieldSeries:
-    """`engine.mean_field` as a per-sample loop of complex scalar rotations."""
+    """The mean field at `times` as the direct sum: one complex scalar rotation per term and sample."""
     amps = spectrum.port(port)
     terms = tuple(
         (mode, mode_omega(mode, nu, length),
@@ -468,7 +468,7 @@ def mean_field_scalar(
             rot = phasor * complex(math.cos(omega * t), -math.sin(omega * t))
             total += 2.0 * rot.real
         values.append(total)
-    return MeanFieldSeries(times=tlist, values=tuple(values), terms=terms)
+    return MeanFieldSeries(times=np.array(tlist), values=np.array(values), terms=terms)
 
 
 def sample_grid_loop(t_start: float, t_stop: float, samples: int) -> tuple[float, ...]:

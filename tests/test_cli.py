@@ -276,6 +276,24 @@ def test_mean_field_overflow_is_rejected_before_sampling(mode, tone, t_stop, tmp
     assert "input.mode" in captured.err and "mean_field.t_stop" in captured.err
 
 
+def test_mean_field_phasor_factor_overflow_is_rejected(tmp_path, capsys):
+    # |field_scale*amplitude|*sqrt(omega) is about 1e210, far below the field
+    # cap, but the phasor's first factor field_scale*sqrt(omega) is 1e310
+    cfg = {
+        "command": "mean-field",
+        "preset": "yb_dual",
+        "drive": {"type": "dsb", "m": 0.5, "tone": 3},
+        "input": {"port": 1, "mode": 10**20, "alpha": 1e-100},
+        "mean_field": {"t_stop": 1.0, "samples": 4, "field_scale": 1e300},
+    }
+    path = tmp_path / "phasor_overflow.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["mean-field", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: mean_field.field_scale: |field_scale|*sqrt(omega) must be finite")
+
+
 def test_console_entry_point_runs(child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "eomsim", "spectrum",

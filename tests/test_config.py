@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from eomsim import config, phase_mod
 from eomsim.cli import main
 from eomsim.config import ConfigError, parse_config
-from eomsim.engine import coherent_output
+from eomsim.engine import SampleGrid, coherent_output, mean_field
 from eomsim.phase_mod import MultitonePMConfig, PMConfig
 from oracles import reach_field_bound, sample_grid_loop
 
@@ -166,6 +166,10 @@ def test_descriptions_are_ignored_everywhere():
         (lambda d: d.update(command="mean-field", input={"mode": 30, "alpha": 1.0},
                             mean_field={"t_start": -1e308, "t_stop": 1e308, "samples": 4}),
          "mean_field.t_stop"),
+        # omega*t is finite at both ends, but the sampler's offsets reach omega*|t_stop - t_start|
+        (lambda d: (d.pop("drive"), d.update(command="mean-field", input={"mode": 30, "alpha": 1.0},
+                                             mean_field={"t_start": -5e306, "t_stop": 5e306, "samples": 4})),
+         r"input\.mode, mean_field\.t_stop: .* omega\*\|t_stop - t_start\|"),
         (lambda d: d.update(command="coherent", input={"mode": 100, "alpha": [1e308, 1e308]}),
          "input.alpha"),
         (lambda d: d.update(command="coherent", input={"mode": 100, "alpha": 10**400}),
@@ -234,11 +238,21 @@ def test_truncation_margin_bound_is_inclusive():
     assert pt.truncation.margin == 400
 
 
+def test_one_sample_grid_has_no_span():
+    # t_stop goes unused with one sample, so its distance from t_start is not bounded
+    doc = _doc(command="mean-field", input={"mode": 30, "alpha": 1.0},
+               mean_field={"t_start": -5e306, "t_stop": 5e306, "samples": 1})
+    doc.pop("drive")
+    assert _parse(doc).points[0].mean_field.times.tolist() == [-5e306]
+
+
 def test_mean_field_samples_bound_is_inclusive():
-    # the sample times are held in memory, so the count is capped
+    # a point's samples and their text are held in memory, so the count is capped
     doc = _doc(command="mean-field", input={"mode": 30, "alpha": 1.0},
                mean_field={"t_stop": 1.0, "samples": 1_000_000})
-    times = _parse(doc).points[0].mean_field.times
+    mf = _parse(doc).points[0].mean_field
+    assert mf.grid == SampleGrid(0.0, 1.0, 1_000_000)
+    times = mf.times
     assert len(times) == 1_000_000
     assert times[0] == 0.0 and times[-1] == pytest.approx(1.0)
 
@@ -251,10 +265,13 @@ TIMES = st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, -1e300, 1e300, -7
 def test_mean_field_grid_equals_one_product_per_sample(t_start, t_stop, samples):
     doc = _doc(command="mean-field", input={"mode": 30, "alpha": 1.0},
                mean_field={"t_start": t_start, "t_stop": t_stop, "samples": samples})
-    times = _parse(doc).points[0].mean_field.times
-    assert type(times) is tuple and type(times[0]) is float
-    # bit for bit, signed zeros included: what repr() would compare, at a
-    # fraction of the cost of printing a million floats
+    pt = _parse(doc).points[0]
+    mf = pt.mean_field
+    spectrum = coherent_output(pt.eom, pt.input_port, pt.n0, pt.alpha, pt.truncation, pt.model)
+    times = mean_field(spectrum, mf.port, mf.grid, mf.nu, mf.length, mf.field_scale).times.tolist()
+    assert type(times[0]) is float
+    # the sampler's t column, bit for bit, signed zeros included: what repr()
+    # would compare, at a fraction of the cost of printing a million floats
     want = sample_grid_loop(t_start, t_stop, samples)
     assert array("d", times).tobytes() == array("d", want).tobytes()
 
@@ -423,10 +440,12 @@ def test_mean_field_section():
     rc = _parse(doc)
     mf = rc.points[0].mean_field
     assert mf.port == 2
-    assert mf.times == (0.0, 0.25, 0.5, 0.75, 1.0)
+    assert mf.grid == SampleGrid(0.0, 1.0, 5)
+    assert mf.times.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
     assert mf.nu == 1.0 and mf.field_scale == 1.0
-    doc["mean_field"]["samples"] = 1
-    assert _parse(doc).points[0].mean_field.times == (0.0,)
+    doc["mean_field"].update(t_start=-0.0, samples=1)
+    times = _parse(doc).points[0].mean_field.times.tolist()
+    assert times == [0.0] and math.copysign(1.0, times[0]) == -1.0  # t_start's own bits
     del doc["mean_field"]
     with pytest.raises(ConfigError, match="mean_field"):
         _parse(doc)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from eomsim.engine import (
     EOMConfig,
     PRESETS,
+    SampleGrid,
     _sum_in_order,
     coherent_output,
     dsb_settings,
@@ -284,9 +285,8 @@ def test_mean_field_phasors_and_samples():
                  pm2=PMConfig(phi_b=-math.pi / 2, m=0.2, theta_rf=0.0, tone=1))
     alpha = 2.0 + 0.0j
     out = coherent_output(cfg, 1, 30, alpha)
-    times = tuple(2.0 * math.pi * k / 16 for k in range(16))
-    series = mean_field(out, 1, times, field_scale=0.5)
-    assert series.times == times
+    series = mean_field(out, 1, SampleGrid(0.0, 2.0 * math.pi * 15 / 16, 16), field_scale=0.5)
+    assert series.times.tolist() == pytest.approx([2.0 * math.pi * k / 16 for k in range(16)], abs=1e-15)
     assert len(series.values) == 16
     for mode, omega, phasor in series.terms:
         assert omega == mode_omega(mode)
@@ -298,7 +298,7 @@ def test_mean_field_phasors_and_samples():
 
 def test_mean_field_single_line_is_sinusoidal():
     out = coherent_output(preset("yb_dual"), 1, 9, 1.0 + 0.0j)
-    series = mean_field(out, 1, times=tuple(0.1 * k for k in range(40)))
+    series = mean_field(out, 1, SampleGrid(0.0, 3.9, 40))
     omega = mode_omega(9)
     amp = 2.0 * math.sqrt(omega)
     for t, val in zip(series.times, series.values):
