@@ -13,8 +13,8 @@ and entering port 2 as
 
 with C (Cbar) the arm-1 (arm-2) scatter rows.  Coherent states displace with
 alpha times the same weights.  Everything here is closed-form; `verify`
-rebuilds the same outputs from raw matrix products of the splitter tables
-and the arm generator exponentials, sharing none of the closed-form code.
+rebuilds the same outputs from the splitter tables and the arm generator
+exponentials, applied stage by stage, sharing none of the closed-form code.
 As in `phase_mod`, a real meeting a complex is promoted with complex(x)
 first, so the outputs do not depend on the interpreter's mixed-mode rule.
 """
@@ -337,22 +337,25 @@ def port_entanglement(state: TwoPhotonState) -> np.ndarray:
     without the pair table.  With u = [a1 b1] and v = [b2 a2] over each
     port's union of supports, |A|^2 = G00*G11 + |G01|^2 for G = u^H u (C
     mirrors it with v), and B = u v^T has rank <= 2: its singular values are
-    those of the core R_u R_v^T of the two QR factors.  Only values above
-    sigma_max * max(rows, cols) * eps are returned (numpy's `matrix_rank`
-    tolerance, strict), with rows = 2|0 pairs + port-1 modes + 1 if any 0|2
-    pair, and cols the mirror; a port with supports Sa and Sb counts
-    |Sa|*|Sb| - C(|Sa & Sb|, 2) bunched pairs.  So the BLAS-dependent
-    round-off tail never reaches the output and a product state yields one
-    value.  For a normalized state the squared values sum to 1.
+    those of the 2x2 core R_u R_v^T of the two R factors (`_port_factors`,
+    `_svd_2x2`).  Only values above sigma_max * max(rows, cols) * eps are
+    returned (numpy's `matrix_rank` tolerance, strict), with rows = 2|0
+    pairs + port-1 modes + 1 if any 0|2 pair, and cols the mirror; a port
+    with supports Sa and Sb counts |Sa|*|Sb| - C(|Sa & Sb|, 2) bunched
+    pairs.  So the round-off tail never reaches the output and a product
+    state yields one value.  No step calls BLAS or LAPACK, and every sum is
+    ordered, so the values do not depend on the numpy build.  For a
+    normalized state the squared values sum to 1.
     """
-    u, norm_a, pairs_a = _port_factors(state.first.port1, state.second.port1)
-    v, norm_c, pairs_c = _port_factors(state.second.port2, state.first.port2)
+    ru, rows_u, norm_a, pairs_a = _port_factors(state.first.port1, state.second.port1)
+    rv, rows_v, norm_c, pairs_c = _port_factors(state.second.port2, state.first.port2)
     svs = [norm_a, norm_c]
-    if len(u) and len(v):
-        core = np.linalg.qr(u, mode="r") @ np.linalg.qr(v, mode="r").T
-        svs.extend(np.linalg.svd(core, compute_uv=False))
+    if rows_u and rows_v:
+        (a00, a01, a11), (b00, b01, b11) = ru, rv
+        svs.extend(_svd_2x2(((complex(a00 * b00) + a01 * b01, a01 * complex(b11)),
+                             (complex(a11) * b01, complex(a11 * b11)))))
     svs = np.sort(svs)[::-1]
-    shape = (pairs_a + len(u) + (pairs_c > 0), (pairs_a > 0) + len(v) + pairs_c)
+    shape = (pairs_a + rows_u + (pairs_c > 0), (pairs_a > 0) + rows_v + pairs_c)
     return svs[svs > svs[0] * max(shape) * np.finfo(float).eps]
 
 
@@ -465,11 +468,80 @@ def _accumulate(
     return {mode: amp for mode, amp in sorted(out.items()) if amp != 0.0}
 
 
-def _port_factors(x: dict[int, complex], y: dict[int, complex]) -> tuple[np.ndarray, float, int]:
-    """One port's [x y] over the union of modes, and its bunched pairs' norm and count."""
-    modes = sorted(x.keys() | y.keys())
-    u = np.array([(x.get(m, 0.0), y.get(m, 0.0)) for m in modes], dtype=np.complex128).reshape(-1, 2)
-    g = u.conj().T @ u
-    pairs = len(x) * len(y) - math.comb(len(x.keys() & y.keys()), 2)
-    return u, math.sqrt(g[0, 0].real * g[1, 1].real + abs(g[0, 1]) ** 2), pairs
+def _port_factors(x: dict[int, complex], y: dict[int, complex]
+                  ) -> tuple[tuple[float, complex, float], int, float, int]:
+    """One port's u = [x y] over the union of modes: its R factor, its row count, and
+    its bunched pairs' norm and count.
 
+    R = [[r00, r01], [0, r11]] comes from Gram-Schmidt on the two columns
+    with one re-orthogonalisation pass, so a small r11 keeps its absolute
+    accuracy; one row gives r11 = 0 and a zero x column R = [[0, |y|], [0, 0]].
+    Complex products are spelled out in real arithmetic and summed in order,
+    as `TwoPhotonState.pairs` does: numpy's complex multiply differs in the
+    last digit, by CPU.
+    """
+    modes = sorted(x.keys() | y.keys())
+    cols = np.array([[x.get(m, 0.0) for m in modes], [y.get(m, 0.0) for m in modes]], dtype=complex)
+    (xr, yr), (xi, yi) = cols.real, cols.imag
+    g00, g11 = _sum_in_order(xr * xr + xi * xi), _sum_in_order(yr * yr + yi * yi)
+    pairs = len(x) * len(y) - math.comb(len(x.keys() & y.keys()), 2)
+    norm = math.sqrt(g00 * g11 + abs(_inner(xr, xi, yr, yi)) ** 2)
+    r00 = math.sqrt(g00)
+    if r00 == 0.0:
+        return (0.0, complex(math.sqrt(g11)), 0.0), len(modes), norm, pairs
+    qr, qi = xr / r00, xi / r00
+    r01, wr, wi = 0j, yr, yi
+    for _pass in range(2):  # project y off q, then project the remainder off again
+        c = _inner(qr, qi, wr, wi)
+        wr, wi = wr - (qr * c.real - qi * c.imag), wi - (qr * c.imag + qi * c.real)
+        r01 += c
+    r11 = math.sqrt(_sum_in_order(wr * wr + wi * wi)) if len(modes) > 1 else 0.0
+    return (r00, r01, r11), len(modes), norm, pairs
+
+
+def _inner(ar: np.ndarray, ai: np.ndarray, br: np.ndarray, bi: np.ndarray) -> complex:
+    """Sum over entries of conj(a)*b, from real and imaginary parts, added in order."""
+    return complex(_sum_in_order(ar * br + ai * bi), _sum_in_order(ar * bi - ai * br))
+
+
+def _svd_2x2(m: tuple[tuple[complex, complex], tuple[complex, complex]]) -> tuple[float, float]:
+    """The two singular values of the complex 2x2 matrix ((x, g), (y, h)).
+
+    One complex Givens rotation from the left zeroes y and leaves
+    [[f, g], [0, h]]; diagonal phase factors make that real and
+    nonnegative, so the values are those of [[|f|, |g|], [0, |h|]], taken
+    by LAPACK's dlas2 (Demmel & Kahan, SIAM J. Sci. Stat. Comput. 11, 1990)
+    written out in Python floats.  Like dlas2 it returns (ssmax, ssmin),
+    whose order two equal values may break by an ulp.
+    """
+    (x, g), (y, h) = m
+    f = abs(x)
+    if y != 0.0:
+        r = abs(complex(f, abs(y)))
+        c, s = complex(f / r), (x / complex(f) if f else 1 + 0j) * (y.conjugate() / complex(r))
+        g, h, f = c * g + s * h, c * h - s.conjugate() * g, r
+    return _las2(f, abs(g), abs(h))
+
+
+def _las2(f: float, g: float, h: float) -> tuple[float, float]:
+    """(ssmax, ssmin) of [[f, g], [0, h]] for f, g, h >= 0: LAPACK's dlas2.
+
+    dlas2's branch for max(f, h)/g underflowing is left out: it would only
+    refine a smaller value already below g*eps.
+    """
+    fhmn, fhmx = min(f, h), max(f, h)
+    if fhmn == 0.0:
+        if fhmx == 0.0:
+            return g, 0.0
+        big, small = max(fhmx, g), min(fhmx, g)
+        return big * math.sqrt(1.0 + (small / big) * (small / big)), 0.0
+    at = (fhmx - fhmn) / fhmx
+    as_ = 1.0 + fhmn / fhmx
+    if g < fhmx:
+        au = (g / fhmx) * (g / fhmx)
+        c = 2.0 / (math.sqrt(as_ * as_ + au) + math.sqrt(at * at + au))
+        return fhmx / c, fhmn * c
+    au = fhmx / g
+    c = 1.0 / (math.sqrt(1.0 + (as_ * au) * (as_ * au)) + math.sqrt(1.0 + (at * au) * (at * au)))
+    smin = (fhmn * c) * au
+    return g / (c + c), smin + smin

@@ -302,3 +302,34 @@ def test_console_entry_point_runs(child_env):
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("point,port,mode,order")
+
+
+# patches every np.linalg function to raise, then runs check battery and a two-photon golden run
+NO_LAPACK_CHILD = """
+import sys
+import numpy as np
+
+def refuse(*args, **kwargs):
+    raise AssertionError("np.linalg called")
+
+for name in np.linalg.__all__:
+    if not isinstance(getattr(np.linalg, name), type):
+        setattr(np.linalg, name, refuse)
+
+from eomsim.cli import main
+
+out, config = sys.argv[1:]
+codes = [main(["verify", "--out", out]), main(["two-photon", "--config", config, "--out", out])]
+print(codes, "numpy.random" in sys.modules)
+"""
+
+
+def test_verify_and_two_photon_runs_need_no_lapack_and_no_numpy_random(child_env, tmp_path):
+    # a child process: the test process may already have imported numpy.random
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_LAPACK_CHILD, str(tmp_path / "out.csv"),
+         str(CONFIGS / "dc_two_photon.json")],
+        capture_output=True, env=child_env, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 0] False\n"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eomsim import engine
 from eomsim.cli import emit_run, run_points
 from eomsim.config import parse_config
 from eomsim.engine import PRESETS, PairTable, port_entanglement, preset, two_photon_output
@@ -270,20 +271,82 @@ def test_schmidt_rank_and_weight_from_one_photon_outputs(name, tones, bias, m, n
 @pytest.mark.parametrize("tones", [(1, 1), (2, 3)])
 def test_schmidt_cost_is_bounded_by_the_ladder(monkeypatch, tones):
     state = two_photon_output(_pair_device("dc_dual", 0.3, 5.0, tones), 200)
-    split_modes = {m for ((p1, m1), (p2, m2)) in state.amps if p1 != p2 for m in (m1, m2)}
-    assert len(state.amps) > 50 * len(split_modes)  # pairs far outnumber ladder modes
-    shapes = []
-    svd = np.linalg.svd
+    ladder = max(len(state.first.port(p).keys() | state.second.port(p).keys()) for p in (1, 2))
+    assert len(state.amps) > 50 * ladder  # pairs far outnumber ladder modes
+    norm = state.norm_sq()
+    sizes = []
+    sum_in_order = engine._sum_in_order
 
-    def recording_svd(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return svd(a, *args, **kwargs)
+    def recording_sum(values, *args):
+        sizes.append(np.size(values))
+        return sum_in_order(values, *args)
 
-    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    def refuse(*args, **kwargs):
+        raise AssertionError("port_entanglement called LAPACK")
+
+    for name in ("qr", "svd", "svdvals", "eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    monkeypatch.setattr(engine, "_sum_in_order", recording_sum)
     svs = port_entanglement(state)
-    assert len(shapes) == 1  # only the one-photon-per-port block is decomposed
-    assert max(shapes[0]) <= len(split_modes)
-    assert np.sum(svs**2) == pytest.approx(state.norm_sq(), abs=1e-12)
+    assert sizes and max(sizes) <= ladder  # every sum runs over one port's modes, not the pairs
+    assert np.sum(svs**2) == pytest.approx(norm, abs=1e-12)
+
+
+EPS = np.finfo(float).eps
+PART = st.one_of(st.just(0.0), st.floats(1e-3, 1.0), st.floats(-1.0, -1e-3))
+AMPLITUDE = st.builds(complex, PART, PART)
+
+
+@st.composite
+def _cores(draw):
+    """Complex 2x2 matrices of rank 0, 1 or 2, equal singular values or a zero first column."""
+    kind = draw(st.sampled_from(["full", "rank1", "rank0", "equal", "zero-column"]))
+    a, b, c, d = (draw(AMPLITUDE) for _ in range(4))
+    if kind == "rank1":
+        core = ((a * c, a * d), (b * c, b * d))
+    elif kind == "rank0":
+        core = ((0j, 0j), (0j, 0j))
+    elif kind == "equal":  # d times the unitary [[a, b], [-conj(b), conj(a)]]
+        a = a if a or b else 1 + 0j
+        size = math.hypot(abs(a), abs(b))
+        a, b = a / size, b / size
+        core = ((d * a, d * b), (-d * b.conjugate(), d * a.conjugate()))
+    elif kind == "zero-column":
+        core = ((0j, c), (0j, d))
+    else:
+        core = ((a, b), (c, d))
+    scale = complex(10.0 ** draw(st.integers(-150, 150)))
+    return tuple(tuple(scale * x for x in row) for row in core)
+
+
+@settings(max_examples=400, deadline=None)
+@given(core=_cores())
+def test_closed_form_2x2_svd_matches_lapack(core):
+    got = np.sort(engine._svd_2x2(core))[::-1]
+    want = np.linalg.svd(np.array(core), compute_uv=False)
+    assert np.all(np.abs(got - want) <= 4 * EPS * want[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    x=st.dictionaries(st.integers(1, 60), AMPLITUDE, max_size=30),
+    y=st.dictionaries(st.integers(1, 60), AMPLITUDE, max_size=30),
+    parallel=st.sampled_from([None, 1j, 0.3 - 2j]),
+)
+def test_gram_schmidt_r_factor_matches_lapack_moduli(x, y, parallel):
+    if parallel is not None:  # rank one: r11 is round-off
+        y = {mode: parallel * amp for mode, amp in x.items()}
+    modes = sorted(x.keys() | y.keys())
+    u = np.array([(x.get(m, 0.0), y.get(m, 0.0)) for m in modes], dtype=complex).reshape(-1, 2)
+    (r00, r01, r11), rows, _norm, _pairs = engine._port_factors(x, y)
+    assert rows == len(modes)
+    if r00 == 0.0:  # a zero x column: R = [[0, |y|], [0, 0]]
+        assert not np.any(u[:, 0])
+        assert (r01, r11) == (pytest.approx(np.linalg.norm(u[:, 1]), rel=4 * EPS), 0.0)
+        return
+    want = np.zeros((2, 2))
+    want[:min(rows, 2)] = np.abs(np.linalg.qr(u, mode="r"))
+    assert np.max(np.abs(np.array([[r00, abs(r01)], [0.0, r11]]) - want)) <= 4 * EPS * np.linalg.norm(u, 2)
 
 
 def test_schmidt_spectrum_at_depth_cap():
