@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -335,7 +336,15 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every later `main` call.
+
+    Reuse only helps callers that run `main` more than once in a process
+    (tests, scripts, the benchmark); a shell `eomsim` call builds it once
+    either way.  Parsing leaves the parser as it was, so calls do not see
+    each other's arguments.
+    """
     parser = argparse.ArgumentParser(
         prog="eomsim",
         description="Quantized-field simulator for dual-arm electro-optic amplitude modulators.",

@@ -283,14 +283,8 @@ def single_photon_output(
     colliding modes add coherently.
     """
     _check_port(input_port)
-    row1 = _arm_row(cfg.pm1, n0, truncation, model)
-    row2 = _arm_row(cfg.pm2, n0, truncation, model)
-    (w11, w12), (w21, w22) = _port_weights(splitter_coeffs(cfg.splitter_in),
-                                           splitter_coeffs(cfg.splitter_out), input_port)
-    return TwoPortSpectrum(
-        port1=_accumulate(w11, row1, w12, row2),
-        port2=_accumulate(w21, row1, w22, row2),
-    )
+    rows = [_arm_row(arm, n0, truncation, model) for arm in (cfg.pm1, cfg.pm2)]
+    return _combine(cfg, input_port, *rows)
 
 
 def coherent_output(
@@ -317,14 +311,13 @@ def two_photon_output(
 ) -> TwoPhotonState:
     """Joint state for one photon in each input port, both at carrier n0.
 
-    The state is the two one-photon outputs; in their product the amplitude
+    The state is the two one-photon outputs, combined from one evaluation of
+    each arm's row; in their product the amplitude
     for the photons to take different arms of a balanced splitter cancels
     exactly (t_i t'_i + r_i r'_i = 0), the interference that makes it bunch.
     """
-    return TwoPhotonState(
-        first=single_photon_output(cfg, 1, n0, truncation, model),
-        second=single_photon_output(cfg, 2, n0, truncation, model),
-    )
+    rows = [_arm_row(arm, n0, truncation, model) for arm in (cfg.pm1, cfg.pm2)]
+    return TwoPhotonState(first=_combine(cfg, 1, *rows), second=_combine(cfg, 2, *rows))
 
 
 def port_entanglement(state: TwoPhotonState) -> np.ndarray:
@@ -412,10 +405,14 @@ def _sum_in_order(values, start: float | complex = 0.0) -> float | complex:
 
     The builtin sum() compensates its float rounding from Python 3.12 on, and
     its complex rounding from 3.14, so the printed totals would depend on the
-    interpreter; np.sum adds pairwise.
+    interpreter; np.sum adds pairwise.  A 2-D `values` gives a list of its rows'
+    sums, each added the same way.
     """
     kind = type(start)
     arr = np.asarray(values, dtype=kind)
+    if arr.ndim == 2:
+        ends = np.add.accumulate(arr, axis=1)[:, -1] if arr.shape[1] else np.zeros(len(arr), kind)
+        return [start + kind(end) for end in ends.tolist()]
     return start + kind(np.add.accumulate(arr)[-1]) if arr.size else start
 
 
@@ -430,6 +427,17 @@ def _arm_row(arm, n0: int, truncation: Truncation | None, model: str) -> dict[in
     if isinstance(arm, MultitonePMConfig):
         return pm_multitone_row(n0, arm)
     return pm_scatter_row(n0, arm, truncation, model)
+
+
+def _combine(cfg: EOMConfig, input_port: int, row1: dict[int, complex], row2: dict[int, complex]
+             ) -> TwoPortSpectrum:
+    """The output ports' amplitudes from the two arm rows, for a photon entering `input_port`."""
+    (w11, w12), (w21, w22) = _port_weights(splitter_coeffs(cfg.splitter_in),
+                                           splitter_coeffs(cfg.splitter_out), input_port)
+    return TwoPortSpectrum(
+        port1=_accumulate(w11, row1, w12, row2),
+        port2=_accumulate(w21, row1, w22, row2),
+    )
 
 
 def _port_weights(
@@ -482,26 +490,28 @@ def _port_factors(x: dict[int, complex], y: dict[int, complex]
     """
     modes = sorted(x.keys() | y.keys())
     cols = np.array([[x.get(m, 0.0) for m in modes], [y.get(m, 0.0) for m in modes]], dtype=complex)
-    (xr, yr), (xi, yi) = cols.real, cols.imag
-    g00, g11 = _sum_in_order(xr * xr + xi * xi), _sum_in_order(yr * yr + yi * yi)
+    re, im = cols.real, cols.imag
+    (xr, yr), (xi, yi) = re, im
+    g00, g11, *g01 = _sum_in_order([*(re * re + im * im), *_inner_terms(xr, xi, yr, yi)])
     pairs = len(x) * len(y) - math.comb(len(x.keys() & y.keys()), 2)
-    norm = math.sqrt(g00 * g11 + abs(_inner(xr, xi, yr, yi)) ** 2)
+    norm = math.sqrt(g00 * g11 + abs(complex(*g01)) ** 2)
     r00 = math.sqrt(g00)
     if r00 == 0.0:
         return (0.0, complex(math.sqrt(g11)), 0.0), len(modes), norm, pairs
     qr, qi = xr / r00, xi / r00
     r01, wr, wi = 0j, yr, yi
     for _pass in range(2):  # project y off q, then project the remainder off again
-        c = _inner(qr, qi, wr, wi)
+        c = complex(*_sum_in_order(_inner_terms(qr, qi, wr, wi)))
         wr, wi = wr - (qr * c.real - qi * c.imag), wi - (qr * c.imag + qi * c.real)
         r01 += c
     r11 = math.sqrt(_sum_in_order(wr * wr + wi * wi)) if len(modes) > 1 else 0.0
     return (r00, r01, r11), len(modes), norm, pairs
 
 
-def _inner(ar: np.ndarray, ai: np.ndarray, br: np.ndarray, bi: np.ndarray) -> complex:
-    """Sum over entries of conj(a)*b, from real and imaginary parts, added in order."""
-    return complex(_sum_in_order(ar * br + ai * bi), _sum_in_order(ar * bi - ai * br))
+def _inner_terms(ar: np.ndarray, ai: np.ndarray, br: np.ndarray, bi: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of conj(a)*b entry by entry, whose ordered sums are <a, b>."""
+    return ar * br + ai * bi, ar * bi - ai * br
 
 
 def _svd_2x2(m: tuple[tuple[complex, complex], tuple[complex, complex]]) -> tuple[float, float]:

@@ -24,6 +24,7 @@ the sign of a zero part, which would change the printed bytes.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -194,31 +195,54 @@ def pm_scatter_row(
     `model` is "exact" (semi-infinite lattice, unitary row) or "optical"
     (reflection term dropped).  Entries that are exactly zero are omitted, so
     m = 0 yields the single carrier entry exp(j phi_b).
+
+    Everything but the bias and the RF phase depends only on (n0, m, tone,
+    truncation, model): that window of real Bessel brackets comes from
+    `_scatter_window`, which keeps its last two results, one per arm.  The
+    two arms of a dual-drive device with a shared depth and tone, and the
+    input ports and points that repeat them, then share one Bessel pass.
     """
     _check_model(model)
-    tr = truncation if truncation is not None else Truncation()
-    dec = decompose_mode(n0, cfg.tone)
+    _check_mode(n0)
     bias = phase_factor(cfg.phi_b)
     if cfg.m == 0.0:
         return {n0: bias}
-    hw = retained_halfwidth(cfg.m, tr)
+    tr = truncation if truncation is not None else Truncation()
+    row: dict[int, complex] = {}
+    for mode, s, bracket in _scatter_window(n0, cfg.m, cfg.tone, tr, model):
+        amp = bias * ladder_phase(s, cfg.theta_rf) * bracket
+        if amp != 0.0:
+            row[mode] = amp
+    return row
+
+
+@functools.lru_cache(maxsize=2)
+def _scatter_window(
+    n0: int, m: float, tone: int, truncation: Truncation, model: str
+) -> tuple[tuple[int, int, complex], ...]:
+    """(mode, s, bracket) per retained sideband rung q = q0 + s of `pm_scatter_row`.
+
+    bracket is complex(J_s(m) - (-1)^q0 J_{q+q0}(m)), or complex(J_s(m)) in
+    the optical model.  The memo holds two windows, one per arm: enough for
+    the arms of one device, and too few to outlast a run of distinct points.
+    """
+    dec = decompose_mode(n0, tone)
+    hw = retained_halfwidth(m, truncation)
     q_lo = max(1, dec.q0 - hw)
     q_hi = dec.q0 + hw
     # image orders q + q0 past hw + m + 80 lie below double precision, so
     # the array length, and the cost, does not grow with the carrier
-    top = min(q_hi + dec.q0, hw + int(cfg.m) + 80)
-    jarr = bessel_j_array(top, cfg.m).tolist()
+    top = min(q_hi + dec.q0, hw + int(m) + 80)
+    jarr = bessel_j_array(top, m).tolist()
     sign = -1.0 if dec.q0 % 2 else 1.0
-    row: dict[int, complex] = {}
+    window = []
     for q in range(q_lo, q_hi + 1):
         s = q - dec.q0
         js = jarr[s] if s >= 0 else (jarr[-s] if s % 2 == 0 else -jarr[-s])
         image = jarr[q + dec.q0] if q + dec.q0 <= top else 0.0
         bracket = js if model == "optical" else js - sign * image
-        amp = bias * ladder_phase(s, cfg.theta_rf) * complex(bracket)
-        if amp != 0.0:
-            row[q * dec.tone - dec.r0] = amp
-    return row
+        window.append((q * dec.tone - dec.r0, s, complex(bracket)))
+    return tuple(window)
 
 
 def pm_multitone_row(n0: int, cfg: MultitonePMConfig) -> dict[int, complex]:

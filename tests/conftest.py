@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 import eomsim
+from eomsim import phase_mod
 
 
 @pytest.fixture
@@ -13,3 +14,10 @@ def child_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return env
+
+
+@pytest.fixture
+def fresh_windows():
+    """Empty `pm_scatter_row`'s window memo, so that a test counting Bessel work
+    sees its own calls only, whatever ran before it."""
+    phase_mod._scatter_window.cache_clear()

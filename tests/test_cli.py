@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from eomsim import verify
-from eomsim.cli import CSV_HEADERS, RECORDS, _column_text, emit_run, main, run_points
+from eomsim import phase_mod, verify
+from eomsim.cli import CSV_HEADERS, RECORDS, _column_text, build_parser, emit_run, main, run_points
 from eomsim.config import parse_config
 from eomsim.engine import PairTable
 import regen_goldens
@@ -333,3 +333,97 @@ def test_verify_and_two_photon_runs_need_no_lapack_and_no_numpy_random(child_env
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[0, 0] False\n"
+
+
+def _status(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse exits on a bad flag
+        return exc.code
+
+
+def test_one_parser_serves_every_main_call_in_a_process(child_env, capsys):
+    build_parser.cache_clear()
+    runs = [
+        ["spectrum", "--config", str(CONFIGS / "yb_dual_dsb.json"), "--bogus"],
+        ["verify"],
+        ["spectrum", "--config", str(CONFIGS / "yb_dual_dsb.json")],
+    ]
+    seen = []
+    for argv in runs:
+        status = _status(argv)
+        out = capsys.readouterr()
+        seen.append((status, out.out, out.err))
+    assert [status for status, _out, _err in seen] == [2, 0, 0]
+    assert build_parser.cache_info().misses == 1
+    for argv, got in zip(runs, seen):
+        proc = subprocess.run([sys.executable, "-m", "eomsim", *argv],
+                              capture_output=True, env=child_env, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == got
+
+
+# One exact-arm mean-field point whose two arms share depth and tone.
+MATCHED_MEAN_FIELD = {
+    "command": "mean-field", "preset": "yb_dual", "drive": {"type": "dsb", "m": 0.5, "tone": 3},
+    "input": {"mode": 100, "alpha": 1.5}, "mean_field": {"t_stop": 1.0, "samples": 8},
+}
+# One spectrum point whose arms differ in depth: one window per arm.
+UNMATCHED_SPECTRUM = {
+    "command": "spectrum", "preset": "yb_dual",
+    "arms": {"arm1": {"phi_b": 0.0, "m": 0.5, "theta_rf": 0.0, "tone": 3},
+             "arm2": {"phi_b": 0.0, "m": 0.7, "theta_rf": 0.0, "tone": 3}},
+    "input": {"mode": 100},
+}
+
+
+@pytest.mark.parametrize("doc, calls", [
+    ("yb_dual_dsb", 2),  # 4 when each arm read its own window
+    ("dc_two_photon", 2),  # 24: per arm, per input port, per point
+    (MATCHED_MEAN_FIELD, 2),  # 8: per arm, at parse and again at run time
+    (UNMATCHED_SPECTRUM, 4),
+])
+def test_bessel_work_per_distinct_window(doc, calls, monkeypatch, tmp_path, fresh_windows):
+    if isinstance(doc, str):
+        path = CONFIGS / f"{doc}.json"
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+    command = json.loads(path.read_text())["command"]
+    real = phase_mod.bessel_j_array
+    requests = []
+
+    def recorder(s_max, m):
+        requests.append((s_max, m))
+        return real(s_max, m)
+
+    monkeypatch.setattr(phase_mod, "bessel_j_array", recorder)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out.txt")]) == 0
+    assert len(requests) == calls
+
+
+def _forget_windows(monkeypatch):
+    """Make every scatter window come from an empty memo."""
+    real = phase_mod._scatter_window
+
+    def forgetful(*key):
+        real.cache_clear()
+        return real(*key)
+
+    monkeypatch.setattr(phase_mod, "_scatter_window", forgetful)
+
+
+@pytest.mark.parametrize("command, config, golden", golden_runs())
+def test_outputs_do_not_depend_on_the_window_memo(command, config, golden, monkeypatch, tmp_path):
+    _forget_windows(monkeypatch)
+    out = tmp_path / golden
+    assert main([command, "--config", str(CONFIGS / config), "--format", out.suffix[1:],
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+def test_verify_report_does_not_depend_on_the_window_memo(monkeypatch, capsys):
+    assert main(["verify", "--format", "json"]) == 0
+    shared = capsys.readouterr().out
+    _forget_windows(monkeypatch)
+    assert main(["verify", "--format", "json"]) == 0
+    assert capsys.readouterr().out == shared

@@ -237,6 +237,13 @@ def test_sum_in_order_adds_left_to_right(values):
     assert repr(_sum_in_order(values)) == repr(sum_left(values))
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 40).flatmap(lambda n: st.lists(
+    st.lists(st.floats(-1e300, 1e300), min_size=n, max_size=n), min_size=1, max_size=5)))
+def test_sum_in_order_adds_each_row_left_to_right(rows):
+    assert repr(_sum_in_order(np.array(rows))) == repr([sum_left(row) for row in rows])
+
+
 def test_sum_in_order_is_neither_pairwise_nor_compensated():
     values = [1.0] + [1e-16] * 200
     assert _sum_in_order(values) == 1.0

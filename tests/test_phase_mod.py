@@ -209,7 +209,7 @@ def test_eigenbasis_row_matches_chain_eigh_drawn(m, phi_b, theta_rf, tone, r0, q
     assert _worst_against_eigh(cfg, n0, _chain_lattice(tone, n0, size)) < 1e-13
 
 
-def test_eigenbasis_row_uses_no_bessel_code(monkeypatch):
+def test_eigenbasis_row_uses_no_bessel_code(monkeypatch, fresh_windows):
     def refuse(*args, **kwargs):
         raise AssertionError("the generator route must not evaluate a Bessel function")
 
@@ -259,7 +259,7 @@ def test_scatter_row_matches_full_array_row(m, tr, model):
                 assert max(abs(row[k] - want[k]) for k in row) <= 4e-16
 
 
-def test_scatter_cost_does_not_grow_with_carrier(monkeypatch):
+def test_scatter_cost_does_not_grow_with_carrier(monkeypatch, fresh_windows):
     m = 50.0
     hw = retained_halfwidth(m, Truncation())
     # the halfwidth scan reads orders up to the first s > int(m) whose bound
@@ -413,3 +413,53 @@ def test_scatter_row_rejects_unknown_model():
     cfg = PMConfig(phi_b=0.0, m=1.0, theta_rf=0.0, tone=1)
     with pytest.raises(ValueError):
         pm_scatter_row(10, cfg, model="classical")
+
+
+def _row_text(row):
+    return repr(list(row.items()))  # repr keeps the sign of a zero part
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([7, 8, 40]), st.sampled_from([0.0, 0.3, 2.0, 9.5]),
+                          st.sampled_from([1, 2, 3]), st.sampled_from(["exact", "optical"]),
+                          st.sampled_from([Truncation(), Truncation(eps=1e-4, margin=0)]),
+                          st.sampled_from([0.0, 1.5707963267948966, 0.4]),
+                          st.sampled_from([0.0, 3.141592653589793, 1.1])),
+                min_size=1, max_size=8))
+def test_window_memo_does_not_change_rows(calls):
+    # rows computed one after another, sharing windows, equal rows computed
+    # from an empty memo bit for bit
+    shared = []
+    for n0, m, tone, model, tr, phi_b, theta_rf in calls:
+        shared.append(_row_text(pm_scatter_row(n0, PMConfig(phi_b, m, theta_rf, tone), tr, model)))
+    for (n0, m, tone, model, tr, phi_b, theta_rf), text in zip(calls, shared):
+        phase_mod._scatter_window.cache_clear()
+        assert _row_text(pm_scatter_row(n0, PMConfig(phi_b, m, theta_rf, tone), tr, model)) == text
+
+
+def test_matched_arms_share_one_bessel_window(monkeypatch, fresh_windows):
+    real = phase_mod.bessel_j_array
+    requests = []
+
+    def recorder(s_max, x):
+        requests.append((s_max, x))
+        return real(s_max, x)
+
+    monkeypatch.setattr(phase_mod, "bessel_j_array", recorder)
+    arm1 = PMConfig(phi_b=0.5, m=2.0, theta_rf=0.0, tone=3)
+    arm2 = PMConfig(phi_b=-0.5, m=2.0, theta_rf=math.pi, tone=3)
+    pm_scatter_row(100, arm1)
+    pm_scatter_row(100, arm2)
+    assert len(requests) == 2  # the halfwidth scan and the row's array, once for both arms
+    pm_scatter_row(100, arm1, model="optical")  # another model is another window
+    pm_scatter_row(101, arm1)  # and so is another carrier
+    assert len(requests) == 6
+    pm_scatter_row(100, arm1)  # two windows kept: (100, exact) is gone
+    assert len(requests) == 8
+
+
+def test_window_memo_checks_the_carrier_first():
+    cfg = PMConfig(phi_b=0.0, m=0.5, theta_rf=0.0, tone=1)
+    pm_scatter_row(1, cfg)
+    with pytest.raises(ValueError, match="mode number"):
+        pm_scatter_row(True, cfg)  # equal to 1 as a memo key, but not a mode number

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from eomsim import engine
 from eomsim.cli import emit_run, run_points
 from eomsim.config import parse_config
-from eomsim.engine import PRESETS, PairTable, port_entanglement, preset, two_photon_output
+from eomsim.engine import (PRESETS, PairTable, port_entanglement, preset, single_photon_output,
+                           two_photon_output)
 from eomsim.phase_mod import PMConfig, Truncation, pm_scatter_row
 from oracles import (pair_records_loop, pair_table_accumulated, pair_table_loop, schmidt_dense,
                      schmidt_range, sum_left, two_photon_dc_closed_form)
@@ -25,6 +26,23 @@ def _pair_device(name, bias, m, tones):
 
 def _dc_pair_config(delta_phi, m=0.4, tone=2):
     return _pair_device("dc_dual", delta_phi, m, (tone, tone))
+
+
+@pytest.mark.parametrize("model", ["exact", "optical"])
+def test_each_arm_row_is_built_once_per_pair(monkeypatch, model):
+    cfg = _pair_device("dc_dual", 0.3, 0.8, (2, 3))
+    calls = []
+    real = engine.pm_scatter_row
+
+    def recorder(n0, arm, *args):
+        calls.append(arm)
+        return real(n0, arm, *args)
+
+    monkeypatch.setattr(engine, "pm_scatter_row", recorder)
+    state = two_photon_output(cfg, 40, model=model)
+    assert calls == [cfg.pm1, cfg.pm2]  # one row per arm, shared by both input ports
+    assert state.first == single_photon_output(cfg, 1, 40, model=model)
+    assert state.second == single_photon_output(cfg, 2, 40, model=model)
 
 
 def test_identity_device_keeps_photons_split():
@@ -278,7 +296,7 @@ def test_schmidt_cost_is_bounded_by_the_ladder(monkeypatch, tones):
     sum_in_order = engine._sum_in_order
 
     def recording_sum(values, *args):
-        sizes.append(np.size(values))
+        sizes.append(np.shape(values)[-1])
         return sum_in_order(values, *args)
 
     def refuse(*args, **kwargs):
@@ -289,6 +307,7 @@ def test_schmidt_cost_is_bounded_by_the_ladder(monkeypatch, tones):
     monkeypatch.setattr(engine, "_sum_in_order", recording_sum)
     svs = port_entanglement(state)
     assert sizes and max(sizes) <= ladder  # every sum runs over one port's modes, not the pairs
+    assert len(sizes) == 8  # per port: the Gram entries, two projections and r11
     assert np.sum(svs**2) == pytest.approx(norm, abs=1e-12)
 
 
