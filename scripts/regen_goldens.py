@@ -1,8 +1,10 @@
 """Regenerate the golden CLI outputs under tests/golden/.
 
-Each golden is written in the format its suffix names. Run after any
-intentional change to the emitters or the physics and review the diff before
-committing; the acceptance suite compares byte-for-byte.
+Each golden is written in the format its suffix names: one per run config
+and format, plus the verify report at the default tolerances.  Run after
+any intentional change to the emitters, the physics or the verify battery
+and review the diff before committing; the acceptance suite compares
+byte-for-byte.
 """
 
 import json
@@ -13,6 +15,7 @@ from eomsim.cli import main
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
 GOLDEN = REPO / "tests" / "golden"
+FORMATS = ("csv", "json")
 
 
 def golden_runs() -> list[tuple[str, str, str]]:
@@ -21,18 +24,25 @@ def golden_runs() -> list[tuple[str, str, str]]:
     for path in sorted(CONFIGS.glob("*.json")):
         command = json.loads(path.read_text())["command"]
         if command != "verify":
-            runs += [(command, path.name, f"{path.stem}.{fmt}") for fmt in ("csv", "json")]
+            runs += [(command, path.name, f"{path.stem}.{fmt}") for fmt in FORMATS]
     return runs
+
+
+def verify_goldens() -> list[str]:
+    """The golden files of `eomsim verify --format csv|json`."""
+    return [f"verify.{fmt}" for fmt in FORMATS]
 
 
 def regen() -> None:
     GOLDEN.mkdir(parents=True, exist_ok=True)
-    for command, config, golden in golden_runs():
+    runs = [([command, "--config", str(CONFIGS / config)], golden)
+            for command, config, golden in golden_runs()]
+    runs += [(["verify"], golden) for golden in verify_goldens()]
+    for argv, golden in runs:
         target = GOLDEN / golden
-        rc = main([command, "--config", str(CONFIGS / config), "--format", target.suffix[1:],
-                   "--out", str(target)])
+        rc = main([*argv, "--format", target.suffix[1:], "--out", str(target)])
         if rc != 0:
-            raise SystemExit(f"{config}: CLI exited with {rc}")
+            raise SystemExit(f"{golden}: CLI exited with {rc}")
         print(f"wrote {target} ({target.stat().st_size} bytes)")
 
 

@@ -372,7 +372,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command and return its exit status.
+
+    A usage error returns 2 and `--help` returns 0, the codes argparse exits
+    with, after argparse has written its message; in-process callers then
+    read every outcome from the return value.
+    """
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
     if args.command == "verify":
         return _cmd_verify(args)
     return _cmd_run(args)

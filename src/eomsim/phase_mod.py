@@ -147,12 +147,19 @@ class Truncation:
 
 def ladder_phase(s: int, theta_rf: float) -> complex:
     """(j exp(j theta_rf))^s, exact whenever theta_rf sits on the quarter-turn grid."""
-    if theta_rf == 0.0:
-        return _QUARTER_TURNS[s % 4]
+    return _ladder(theta_rf)(s)
+
+
+def _ladder(theta_rf: float):
+    """s -> (j exp(j theta_rf))^s, deciding once whether theta_rf sits on the
+    quarter-turn grid.  On it, theta_rf = k pi/2 and the phase is the exact
+    j^(s (k + 1)), which repeats every four rungs; off it, j^s exp(j s theta_rf).
+    """
     k = round(theta_rf / _HALF_PI)
     if theta_rf == k * _HALF_PI:
-        return _QUARTER_TURNS[(s * (k + 1)) % 4]
-    return _QUARTER_TURNS[s % 4] * cmath.exp(1j * complex(s * theta_rf))
+        cycle = tuple(_QUARTER_TURNS[(s * (k + 1)) % 4] for s in range(4))
+        return lambda s: cycle[s % 4]
+    return lambda s: _QUARTER_TURNS[s % 4] * cmath.exp(1j * complex(s * theta_rf))
 
 
 def retained_halfwidth(m: float, truncation: Truncation) -> int:
@@ -164,6 +171,7 @@ def retained_halfwidth(m: float, truncation: Truncation) -> int:
     order past int(m) where that bound drops below eps, plus `_BOUND_SLACK`
     orders so that rounding in lgamma cannot cut it short.  The recurrence's
     length therefore follows the window, not a fixed int(m) + 401 orders.
+    The array comes from `_bessel_pass`, which keeps the last four passes.
     """
     if m == 0.0:
         return truncation.margin
@@ -177,7 +185,7 @@ def retained_halfwidth(m: float, truncation: Truncation) -> int:
     # for m <= 50 it underflows to 0.0 before order int(m) + 362 and stays
     # under the bound, so the scan stops inside the array for every eps > 0
     top = min(int(m) + 401, bound + _BOUND_SLACK)
-    jarr = bessel_j_array(top, m).tolist()
+    jarr = _bessel_pass(top, m)
     s = int(m) + 1
     while s < top and abs(jarr[s]) >= truncation.eps:
         s += 1
@@ -198,9 +206,15 @@ def pm_scatter_row(
 
     Everything but the bias and the RF phase depends only on (n0, m, tone,
     truncation, model): that window of real Bessel brackets comes from
-    `_scatter_window`, which keeps its last two results, one per arm.  The
-    two arms of a dual-drive device with a shared depth and tone, and the
-    input ports and points that repeat them, then share one Bessel pass.
+    `_scatter_window`.  Three memos, each sized for one two-arm device, keep
+    the work it reads: `_scatter_window` its last two windows,
+    `_halfwidth` its last two (m, truncation) halfwidths, and `_bessel_pass`
+    its last four (s_max, m) Bessel passes (each arm's halfwidth scan and
+    window array).  Matched arms, the input ports and points that repeat
+    them, and carriers of one depth past the array's cut share their passes;
+    a run of distinct devices keeps nothing.  Whether theta_rf lies on the
+    quarter-turn grid is decided once per row, by `_ladder`, the definition
+    `ladder_phase` uses too.
     """
     _check_model(model)
     _check_mode(n0)
@@ -208,9 +222,10 @@ def pm_scatter_row(
     if cfg.m == 0.0:
         return {n0: bias}
     tr = truncation if truncation is not None else Truncation()
+    phase = _ladder(cfg.theta_rf)
     row: dict[int, complex] = {}
     for mode, s, bracket in _scatter_window(n0, cfg.m, cfg.tone, tr, model):
-        amp = bias * ladder_phase(s, cfg.theta_rf) * bracket
+        amp = bias * phase(s) * bracket
         if amp != 0.0:
             row[mode] = amp
     return row
@@ -225,15 +240,17 @@ def _scatter_window(
     bracket is complex(J_s(m) - (-1)^q0 J_{q+q0}(m)), or complex(J_s(m)) in
     the optical model.  The memo holds two windows, one per arm: enough for
     the arms of one device, and too few to outlast a run of distinct points.
+    The halfwidth and the Bessel array come from their own memos, sized the
+    same way, so a window that misses may still reuse its arm's passes.
     """
     dec = decompose_mode(n0, tone)
-    hw = retained_halfwidth(m, truncation)
+    hw = _halfwidth(m, truncation)
     q_lo = max(1, dec.q0 - hw)
     q_hi = dec.q0 + hw
     # image orders q + q0 past hw + m + 80 lie below double precision, so
     # the array length, and the cost, does not grow with the carrier
     top = min(q_hi + dec.q0, hw + int(m) + 80)
-    jarr = bessel_j_array(top, m).tolist()
+    jarr = _bessel_pass(top, m)
     sign = -1.0 if dec.q0 % 2 else 1.0
     window = []
     for q in range(q_lo, q_hi + 1):
@@ -243,6 +260,27 @@ def _scatter_window(
         bracket = js if model == "optical" else js - sign * image
         window.append((q * dec.tone - dec.r0, s, complex(bracket)))
     return tuple(window)
+
+
+@functools.lru_cache(maxsize=2)
+def _halfwidth(m: float, truncation: Truncation) -> int:
+    """`retained_halfwidth`, kept for the last two (m, truncation), one per arm.
+
+    `_scatter_window` and verify's oracle lattice read it, so one device's
+    two arms scan their windows once between them.
+    """
+    return retained_halfwidth(m, truncation)
+
+
+@functools.lru_cache(maxsize=4)
+def _bessel_pass(s_max: int, m: float) -> tuple[float, ...]:
+    """`bessel_j_array(s_max, m)` as a tuple, kept for the last four passes:
+    an arm's halfwidth scan and its window's array, for each of two arms.
+
+    `bessel_j_array` stays a plain function, so a wrapper around it sees
+    only the passes that run.
+    """
+    return tuple(bessel_j_array(s_max, m).tolist())
 
 
 def pm_multitone_row(n0: int, cfg: MultitonePMConfig) -> dict[int, complex]:

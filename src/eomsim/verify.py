@@ -52,9 +52,9 @@ from .phase_mod import (
     PMConfig,
     ToneDrive,
     Truncation,
+    _halfwidth,
     pm_multitone_row,
     pm_scatter_row,
-    retained_halfwidth,
 )
 from .splitters import SplitterCoeffs, SplitterSpec, splitter_coeffs
 
@@ -134,8 +134,11 @@ def composition_oracle(cfg: EOMConfig, input_port: int, n0: int) -> TwoPortSpect
     reaches.  Modes beyond an arm's lattice
     count as zero in that arm.  No amplitude comes from the closed-form path
     beyond the splitter tables themselves: the lattice size reads the
-    closed form's ``retained_halfwidth``, but only to size the lattice.
-    Disagreement beyond truncation error means the closed forms are wrong.
+    closed form's halfwidth memo (``phase_mod._halfwidth``, the last two
+    ``retained_halfwidth`` results, one per arm), but only to size the
+    lattice; in check 7 the device's own rows have just filled it.  The
+    port vectors are read back with one ``tolist``.  Disagreement beyond
+    truncation error means the closed forms are wrong.
     """
     _check_port(input_port)
     arms = (cfg.pm1, cfg.pm2)
@@ -149,15 +152,18 @@ def composition_oracle(cfg: EOMConfig, input_port: int, n0: int) -> TwoPortSpect
     mat_out = splitter_coeffs(cfg.splitter_out).as_matrix()
     arm_amps = mat_in[input_port - 1, :, None] * arm_vecs
     port_vecs = mat_out[0, :, None] * arm_amps[0] + mat_out[1, :, None] * arm_amps[1]
-    port1, port2 = (
-        {n: complex(a) for n, a in zip(modes, vec) if a != 0.0} for vec in port_vecs
-    )
+    port1, port2 = ({n: a for n, a in zip(modes, vec) if a != 0.0} for vec in port_vecs.tolist())
     return TwoPortSpectrum(port1=port1, port2=port2)
 
 
 def _arm_lattice(arm: PMConfig, n0: int) -> int:
+    """Top mode of the arm's oracle lattice: hw + 12 rungs past its carrier.
+
+    hw is the retained halfwidth at the default truncation, read from the
+    two-entry memo that the arm's own scatter row filled, not scanned again.
+    """
     dec = decompose_mode(n0, arm.tone)
-    hw = retained_halfwidth(arm.m, Truncation())
+    hw = _halfwidth(arm.m, Truncation())
     return max(n0 + 8, (dec.q0 + hw + 12) * arm.tone)
 
 

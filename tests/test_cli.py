@@ -14,7 +14,7 @@ from eomsim.cli import CSV_HEADERS, RECORDS, _column_text, build_parser, emit_ru
 from eomsim.config import parse_config
 from eomsim.engine import PairTable
 import regen_goldens
-from regen_goldens import golden_runs
+from regen_goldens import golden_runs, verify_goldens
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -30,7 +30,15 @@ def test_outputs_match_goldens_byte_for_byte(command, config, golden, tmp_path):
 
 
 def test_every_golden_has_a_config_run():
-    assert {path.name for path in GOLDEN.iterdir()} == {golden for _c, _f, golden in golden_runs()}
+    assert {path.name for path in GOLDEN.iterdir()} == (
+        {golden for _c, _f, golden in golden_runs()} | set(verify_goldens()))
+
+
+@pytest.mark.parametrize("golden", verify_goldens())
+def test_verify_report_matches_goldens_byte_for_byte(golden, tmp_path):
+    out = tmp_path / golden
+    assert main(["verify", "--format", out.suffix[1:], "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
 def test_regen_writes_the_checked_in_goldens(monkeypatch, tmp_path):
@@ -335,11 +343,16 @@ def test_verify_and_two_photon_runs_need_no_lapack_and_no_numpy_random(child_env
     assert proc.stdout == "[0, 0] False\n"
 
 
-def _status(argv):
-    try:
-        return main(argv)
-    except SystemExit as exc:  # argparse exits on a bad flag
-        return exc.code
+@pytest.mark.parametrize("argv, status", [
+    (["--help"], 0),
+    (["spectrum", "--help"], 0),
+    (["spectrum", "--bogus"], 2),
+    ([], 2),
+])
+def test_main_returns_the_usage_status(argv, status, capsys):
+    assert main(argv) == status
+    out = capsys.readouterr()
+    assert (out.out if status == 0 else out.err).startswith("usage: eomsim")
 
 
 def test_one_parser_serves_every_main_call_in_a_process(child_env, capsys):
@@ -351,7 +364,7 @@ def test_one_parser_serves_every_main_call_in_a_process(child_env, capsys):
     ]
     seen = []
     for argv in runs:
-        status = _status(argv)
+        status = main(argv)
         out = capsys.readouterr()
         seen.append((status, out.out, out.err))
     assert [status for status, _out, _err in seen] == [2, 0, 0]
@@ -367,6 +380,13 @@ MATCHED_MEAN_FIELD = {
     "command": "mean-field", "preset": "yb_dual", "drive": {"type": "dsb", "m": 0.5, "tone": 3},
     "input": {"mode": 100, "alpha": 1.5}, "mean_field": {"t_stop": 1.0, "samples": 8},
 }
+# Three carriers of one matched device: one window each, one halfwidth and one
+# Bessel array for all three, since the image orders of every carrier lie
+# past the array's cut.
+CARRIER_SWEEP = {
+    "command": "spectrum", "preset": "yb_dual", "drive": {"type": "dsb", "m": 0.5, "tone": 3},
+    "input": {"mode": 200}, "sweep": [{"input": {"mode": n0}} for n0 in (200, 300, 400)],
+}
 # One spectrum point whose arms differ in depth: one window per arm.
 UNMATCHED_SPECTRUM = {
     "command": "spectrum", "preset": "yb_dual",
@@ -380,6 +400,7 @@ UNMATCHED_SPECTRUM = {
     ("yb_dual_dsb", 2),  # 4 when each arm read its own window
     ("dc_two_photon", 2),  # 24: per arm, per input port, per point
     (MATCHED_MEAN_FIELD, 2),  # 8: per arm, at parse and again at run time
+    (CARRIER_SWEEP, 2),  # 6 when each window scanned its own halfwidth and array
     (UNMATCHED_SPECTRUM, 4),
 ])
 def test_bessel_work_per_distinct_window(doc, calls, monkeypatch, tmp_path, fresh_windows):
@@ -401,29 +422,18 @@ def test_bessel_work_per_distinct_window(doc, calls, monkeypatch, tmp_path, fres
     assert len(requests) == calls
 
 
-def _forget_windows(monkeypatch):
-    """Make every scatter window come from an empty memo."""
-    real = phase_mod._scatter_window
-
-    def forgetful(*key):
-        real.cache_clear()
-        return real(*key)
-
-    monkeypatch.setattr(phase_mod, "_scatter_window", forgetful)
-
-
 @pytest.mark.parametrize("command, config, golden", golden_runs())
-def test_outputs_do_not_depend_on_the_window_memo(command, config, golden, monkeypatch, tmp_path):
-    _forget_windows(monkeypatch)
+def test_outputs_do_not_depend_on_the_window_memo(command, config, golden, forget_windows, tmp_path):
+    forget_windows()
     out = tmp_path / golden
     assert main([command, "--config", str(CONFIGS / config), "--format", out.suffix[1:],
                  "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
-def test_verify_report_does_not_depend_on_the_window_memo(monkeypatch, capsys):
+def test_verify_report_does_not_depend_on_the_window_memo(forget_windows, capsys):
     assert main(["verify", "--format", "json"]) == 0
     shared = capsys.readouterr().out
-    _forget_windows(monkeypatch)
+    forget_windows()
     assert main(["verify", "--format", "json"]) == 0
-    assert capsys.readouterr().out == shared
+    assert capsys.readouterr().out == shared == (GOLDEN / "verify.json").read_text()

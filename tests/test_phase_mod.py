@@ -1,12 +1,15 @@
 import cmath
+import importlib
 import itertools
 import math
+import pkgutil
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import eomsim
 from eomsim import phase_mod, special
 from eomsim.lattice import decompose_mode
 from eomsim.phase_mod import (
@@ -23,6 +26,7 @@ from eomsim.phase_mod import (
 from eomsim.special import bessel_j_array
 from eomsim.verify import pm_generator_oracle
 
+from conftest import MEMOS, clear_memos
 from oracles import bessel_reference, halfwidth_full_scan, pm_generator_chain_eigh, pm_generator_full
 
 # Scattering amplitudes frozen from the defining expression evaluated at
@@ -73,7 +77,7 @@ def test_ladder_phase_matches_direct_power(s, theta):
     ],
 )
 def test_ladder_phase_exact_on_quarter_turn_grid(theta, table):
-    for s in range(8):
+    for s in range(-8, 8):
         assert ladder_phase(s, theta) == table[s % 4]
 
 
@@ -267,6 +271,7 @@ def test_scatter_cost_does_not_grow_with_carrier(monkeypatch, fresh_windows):
     bound = int(m) + 1
     while mpmath.mpf(m / 2) ** bound / mpmath.factorial(bound) >= Truncation().eps:
         bound += 1
+    clear_memos()  # the halfwidth above left its Bessel pass in the memo
     real = phase_mod.bessel_j_array
     requests = []
 
@@ -433,7 +438,7 @@ def test_window_memo_does_not_change_rows(calls):
     for n0, m, tone, model, tr, phi_b, theta_rf in calls:
         shared.append(_row_text(pm_scatter_row(n0, PMConfig(phi_b, m, theta_rf, tone), tr, model)))
     for (n0, m, tone, model, tr, phi_b, theta_rf), text in zip(calls, shared):
-        phase_mod._scatter_window.cache_clear()
+        clear_memos()
         assert _row_text(pm_scatter_row(n0, PMConfig(phi_b, m, theta_rf, tone), tr, model)) == text
 
 
@@ -445,17 +450,54 @@ def test_matched_arms_share_one_bessel_window(monkeypatch, fresh_windows):
         requests.append((s_max, x))
         return real(s_max, x)
 
+    def windows():
+        return phase_mod._scatter_window.cache_info().misses
+
     monkeypatch.setattr(phase_mod, "bessel_j_array", recorder)
     arm1 = PMConfig(phi_b=0.5, m=2.0, theta_rf=0.0, tone=3)
     arm2 = PMConfig(phi_b=-0.5, m=2.0, theta_rf=math.pi, tone=3)
     pm_scatter_row(100, arm1)
     pm_scatter_row(100, arm2)
-    assert len(requests) == 2  # the halfwidth scan and the row's array, once for both arms
+    assert (windows(), len(requests)) == (1, 2)  # the halfwidth scan and the row's array
     pm_scatter_row(100, arm1, model="optical")  # another model is another window
-    pm_scatter_row(101, arm1)  # and so is another carrier
-    assert len(requests) == 6
+    pm_scatter_row(101, arm1)  # and so is another carrier,
+    assert windows() == 3
+    assert len(requests) == 2  # but both read the same halfwidth and Bessel pass
     pm_scatter_row(100, arm1)  # two windows kept: (100, exact) is gone
+    assert (windows(), len(requests)) == (4, 2)
+    for m in (0.5, 0.7, 0.9):
+        pm_scatter_row(100, PMConfig(phi_b=0.0, m=m, theta_rf=0.0, tone=3))
     assert len(requests) == 8
+    pm_scatter_row(100, arm1)  # two depths kept: m = 2 is gone
+    assert len(requests) == 10
+
+
+@pytest.mark.parametrize("model", ["exact", "optical"])
+@pytest.mark.parametrize("theta_rf", [0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, 3 * math.pi / 2,
+                                      0.7, -2.3])
+def test_row_applies_ladder_phase_rung_by_rung(theta_rf, model):
+    # the row decides once whether theta_rf is on the quarter-turn grid; the
+    # result must equal ladder_phase applied per rung, the sign of every zero
+    # part included, on both sides of the carrier
+    tr = Truncation()
+    for m, tone, q0 in ((0.8, 1, 3), (2.0, 3, 9), (5.0, 2, 30)):
+        cfg = PMConfig(phi_b=0.3, m=m, theta_rf=theta_rf, tone=tone)
+        row = pm_scatter_row(q0 * tone, cfg, tr, model)
+        assert min(row) < q0 * tone < max(row)
+        assert _row_text(row) == _row_text(_full_array_row(q0 * tone, cfg, tr, model))
+
+
+def test_memo_list_names_every_memo():
+    # the fixtures that empty or forget memos read MEMOS; a new memo left out
+    # of it would carry state from one test into the next
+    memos = set()
+    for info in pkgutil.iter_modules(eomsim.__path__):
+        if info.name == "__main__":
+            continue  # importing it runs the command line
+        module = importlib.import_module(f"eomsim.{info.name}")
+        memos |= {f"{info.name}.{name}" for name, obj in vars(module).items()
+                  if hasattr(obj, "cache_clear") and obj.__module__ == module.__name__}
+    assert memos == {f"phase_mod.{name}" for name in MEMOS} | {"cli.build_parser"}
 
 
 def test_window_memo_checks_the_carrier_first():

@@ -8,8 +8,10 @@ import re
 import numpy as np
 import pytest
 
-from eomsim import verify
+from eomsim import phase_mod, verify
 from eomsim.cli import emit_verify
+
+from conftest import MEMOS
 
 # one measure in a check's detail: "label worst (tol T)"
 MEASURE = re.compile(r"(?:^|; )([^;]+?) (\S+) \(tol (\S+)\)")
@@ -150,3 +152,36 @@ def test_verify_report_does_not_depend_on_builtin_sum(monkeypatch):
     results = verify.run_all()
     assert results[9].margins[2] == verify.Margin("field reconstruction defect", 0.0, 0.0)
     assert {fmt: emit_verify(results, 1.0, fmt) for fmt in reports} == reports
+
+
+def _battery_work(monkeypatch):
+    """Run the battery once; return its Bessel passes and halfwidth scans, and
+    the (hits, misses) each memo had during it."""
+    calls = {"bessel_j_array": 0, "retained_halfwidth": 0}
+    for name in calls:
+        real = getattr(phase_mod, name)
+
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(phase_mod, name, counted)
+    before = {name: getattr(phase_mod, name).cache_info() for name in MEMOS}
+    verify.run_all()
+    after = {name: getattr(phase_mod, name).cache_info() for name in MEMOS}
+    memos = {name: (after[name].hits - before[name].hits, after[name].misses - before[name].misses)
+             for name in MEMOS}
+    monkeypatch.undo()
+    return calls, memos
+
+
+def test_battery_runs_each_bessel_pass_and_halfwidth_once_per_device(monkeypatch, fresh_windows):
+    # 441 passes and 264 scans when every window, and verify's oracle
+    # lattice, ran its own; the battery asks for 213 distinct (s_max, m)
+    # passes and 97 distinct (m, truncation) halfwidths
+    first, first_memos = _battery_work(monkeypatch)
+    assert first == {"bessel_j_array": 237, "retained_halfwidth": 112}
+    # a battery straight after another does the same work as one from empty
+    # memos: no memo entry outlives the battery
+    again, again_memos = _battery_work(monkeypatch)
+    assert (again, again_memos) == (first, first_memos)
