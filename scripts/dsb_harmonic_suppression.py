@@ -18,10 +18,10 @@ def harmonic_powers(m: float, n0: int, tone: int, model: str) -> dict[int, tuple
     pm1, pm2 = dsb_settings(m, tone)
     cfg = preset("yb_dual", pm1=pm1, pm2=pm2)
     out = single_photon_output(cfg, 1, n0, model=model)
-    dec = decompose_mode(n0, tone)
+    q0, r0 = decompose_mode(n0, tone)
     table: dict[int, tuple[float, float]] = {}
     for order in range(-4, 5):
-        mode = (dec.q0 + order) * tone - dec.r0
+        mode = (q0 + order) * tone - r0
         p1 = abs(out.port1.get(mode, 0.0)) ** 2
         p2 = abs(out.port2.get(mode, 0.0)) ** 2
         table[order] = (p1, p2)

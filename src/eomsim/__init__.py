@@ -5,11 +5,15 @@ integer RF tone scatters a carrier mode across a sideband ladder; two driven
 arms between a pair of splitters turn that into amplitude modulation with
 port-resolved spectra, and the same map is applied to coherent states,
 photon pairs, and classical mean fields.
+
+The root exports the device, its parts and the outputs it produces.  The
+kernels behind them (the Bessel recurrence in `special`, the sideband
+bookkeeping in `lattice`, the window scan and multitone row in `phase_mod`)
+are imported from their own modules.
 """
 
 from .engine import (
     EOMConfig,
-    MeanFieldSeries,
     PRESETS,
     SampleGrid,
     TwoPhotonState,
@@ -23,57 +27,38 @@ from .engine import (
     ssb_settings,
     two_photon_output,
 )
-from .lattice import (
-    SidebandDecomposition,
-    decompose_mode,
-    mode_omega,
-)
+from .lattice import mode_omega
 from .phase_mod import (
     MultitonePMConfig,
     PMConfig,
     ToneDrive,
     Truncation,
-    pm_multitone_row,
     pm_scatter_row,
-    retained_halfwidth,
 )
-from .special import bessel_j_array
-from .splitters import (
-    SplitterCoeffs,
-    SplitterSpec,
-    splitter_coeffs,
-)
+from .splitters import SplitterSpec, splitter_coeffs
 
 __version__ = "0.1.0"
 
 __all__ = [
     "EOMConfig",
-    "MeanFieldSeries",
     "MultitonePMConfig",
     "PMConfig",
     "PRESETS",
     "SampleGrid",
-    "SidebandDecomposition",
-    "SplitterCoeffs",
     "SplitterSpec",
     "ToneDrive",
     "Truncation",
     "TwoPhotonState",
     "TwoPortSpectrum",
-    "bessel_j_array",
     "coherent_output",
-    "decompose_mode",
     "dsb_settings",
     "mean_field",
     "mode_omega",
-    "pm_multitone_row",
     "pm_scatter_row",
     "port_entanglement",
     "preset",
-    "retained_halfwidth",
     "single_photon_output",
     "splitter_coeffs",
     "ssb_settings",
     "two_photon_output",
-    "__version__",
 ]

@@ -10,36 +10,20 @@ plain integers n and N; physical frequencies only ever appear through
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class SidebandDecomposition:
-    """Carrier position on the sideband ladder of an RF tone.
+def decompose_mode(n0: int, tone: int) -> tuple[int, int]:
+    """Carrier position (q0, r0) on the sideband ladder of an RF tone.
 
-    A carrier mode n0 driven at tone N sits at rung q0 of the ladder
-    n = q*N - r0, with 0 <= r0 < N and q0 >= 1, so sideband rung q is
-    lattice mode q*N - r0.
+    n0 = q0*tone - r0 with 0 <= r0 < tone and q0 >= 1, so sideband rung q
+    of the ladder is lattice mode q*tone - r0.
     """
-
-    q0: int
-    r0: int
-    tone: int
-
-    @property
-    def carrier(self) -> int:
-        return self.q0 * self.tone - self.r0
-
-
-def decompose_mode(n0: int, tone: int) -> SidebandDecomposition:
-    """Split carrier n0 into (q0, r0) with n0 = q0*tone - r0, 0 <= r0 < tone."""
     _check_mode(n0)
     _check_tone(tone)
     q0 = -(-n0 // tone)  # ceil division
-    r0 = q0 * tone - n0
-    return SidebandDecomposition(q0=q0, r0=r0, tone=tone)
+    return q0, q0 * tone - n0
 
 
 def mode_omega(n: int, nu: float = 1.0, length: float = TWO_PI) -> float:

@@ -51,12 +51,16 @@ def phase_factor(angle: float) -> complex:
     cancellations live; evaluating them through exp() leaves ~1e-16 residue
     that would otherwise litter the output with ghost entries.
     """
-    if angle == 0.0:
-        return 1.0 + 0.0j
-    k = round(angle / _HALF_PI)
-    if angle == k * _HALF_PI:
+    k = _quarter_turns(angle)
+    if k is not None:
         return _QUARTER_TURNS[k % 4]
     return cmath.exp(1j * complex(angle))
+
+
+def _quarter_turns(angle: float) -> int | None:
+    """k when angle is exactly k pi/2 (either zero gives 0), else None."""
+    k = round(angle / _HALF_PI)
+    return k if angle == k * _HALF_PI else None
 
 
 @dataclass(frozen=True)
@@ -145,18 +149,15 @@ class Truncation:
             raise ValueError(f"margin must be an integer in [0, {_MAX_MARGIN}], got {self.margin!r}")
 
 
-def ladder_phase(s: int, theta_rf: float) -> complex:
-    """(j exp(j theta_rf))^s, exact whenever theta_rf sits on the quarter-turn grid."""
-    return _ladder(theta_rf)(s)
-
-
 def _ladder(theta_rf: float):
-    """s -> (j exp(j theta_rf))^s, deciding once whether theta_rf sits on the
-    quarter-turn grid.  On it, theta_rf = k pi/2 and the phase is the exact
-    j^(s (k + 1)), which repeats every four rungs; off it, j^s exp(j s theta_rf).
+    """s -> (j exp(j theta_rf))^s, the rung phase of the sideband ladder.
+
+    Whether theta_rf sits on the quarter-turn grid is decided once.  On it,
+    theta_rf = k pi/2 and the phase is the exact j^(s (k + 1)), which
+    repeats every four rungs; off it, j^s exp(j s theta_rf).
     """
-    k = round(theta_rf / _HALF_PI)
-    if theta_rf == k * _HALF_PI:
+    k = _quarter_turns(theta_rf)
+    if k is not None:
         cycle = tuple(_QUARTER_TURNS[(s * (k + 1)) % 4] for s in range(4))
         return lambda s: cycle[s % 4]
     return lambda s: _QUARTER_TURNS[s % 4] * cmath.exp(1j * complex(s * theta_rf))
@@ -213,8 +214,7 @@ def pm_scatter_row(
     window array).  Matched arms, the input ports and points that repeat
     them, and carriers of one depth past the array's cut share their passes;
     a run of distinct devices keeps nothing.  Whether theta_rf lies on the
-    quarter-turn grid is decided once per row, by `_ladder`, the definition
-    `ladder_phase` uses too.
+    quarter-turn grid is decided once per row, by `_ladder`.
     """
     _check_model(model)
     _check_mode(n0)
@@ -243,22 +243,22 @@ def _scatter_window(
     The halfwidth and the Bessel array come from their own memos, sized the
     same way, so a window that misses may still reuse its arm's passes.
     """
-    dec = decompose_mode(n0, tone)
+    q0, r0 = decompose_mode(n0, tone)
     hw = _halfwidth(m, truncation)
-    q_lo = max(1, dec.q0 - hw)
-    q_hi = dec.q0 + hw
+    q_lo = max(1, q0 - hw)
+    q_hi = q0 + hw
     # image orders q + q0 past hw + m + 80 lie below double precision, so
     # the array length, and the cost, does not grow with the carrier
-    top = min(q_hi + dec.q0, hw + int(m) + 80)
+    top = min(q_hi + q0, hw + int(m) + 80)
     jarr = _bessel_pass(top, m)
-    sign = -1.0 if dec.q0 % 2 else 1.0
+    sign = -1.0 if q0 % 2 else 1.0
     window = []
     for q in range(q_lo, q_hi + 1):
-        s = q - dec.q0
+        s = q - q0
         js = jarr[s] if s >= 0 else (jarr[-s] if s % 2 == 0 else -jarr[-s])
-        image = jarr[q + dec.q0] if q + dec.q0 <= top else 0.0
+        image = jarr[q + q0] if q + q0 <= top else 0.0
         bracket = js if model == "optical" else js - sign * image
-        window.append((q * dec.tone - dec.r0, s, complex(bracket)))
+        window.append((q * tone - r0, s, complex(bracket)))
     return tuple(window)
 
 

@@ -162,9 +162,9 @@ def _arm_lattice(arm: PMConfig, n0: int) -> int:
     hw is the retained halfwidth at the default truncation, read from the
     two-entry memo that the arm's own scatter row filled, not scanned again.
     """
-    dec = decompose_mode(n0, arm.tone)
+    q0, _r0 = decompose_mode(n0, arm.tone)
     hw = _halfwidth(arm.m, Truncation())
-    return max(n0 + 8, (dec.q0 + hw + 12) * arm.tone)
+    return max(n0 + 8, (q0 + hw + 12) * arm.tone)
 
 
 def blocked_field_scalar(terms, grid: SampleGrid) -> list[float]:
@@ -292,10 +292,10 @@ def check_generator_agreement(scale: float = 1.0) -> CheckResult:
     for m, tone, n0, n_max in ((1.0, 3, 30, 120), (2.0, 1, 25, 60), (0.7, 5, 60, 160), (2.0, 2, 3, 80)):
         cfg = PMConfig(phi_b=0.4, m=m, theta_rf=1.1, tone=tone)
         oracle = pm_generator_oracle(cfg, n0, n_max)
-        dec = decompose_mode(n0, tone)
+        q0, r0 = decompose_mode(n0, tone)
         row = pm_scatter_row(n0, cfg)
-        for q in range(max(1, dec.q0 - 10), dec.q0 + 11):
-            n = q * tone - dec.r0
+        for q in range(max(1, q0 - 10), q0 + 11):
+            n = q * tone - r0
             diffs.append(abs(oracle[n] - row.get(n, 0.0)))
     return _result(3, "generator_agreement", [("generator mismatch", diffs, 1e-8 * scale)])
 
@@ -314,7 +314,7 @@ def check_optical_limit(scale: float = 1.0) -> CheckResult:
 def check_dsb_suppression(scale: float = 1.0) -> CheckResult:
     """Opposite-quadrature biasing separates even and odd orders by port."""
     n0, tone = 100, 3
-    dec = decompose_mode(n0, tone)
+    q0, r0 = decompose_mode(n0, tone)
     leaks = []
     for m in (0.1, 0.5, 1.0):
         pm1, pm2 = dsb_settings(m, tone)
@@ -323,7 +323,7 @@ def check_dsb_suppression(scale: float = 1.0) -> CheckResult:
         # odd orders belong on port 1 and even orders on port 2
         for parity, amps in ((1, out.port1), (0, out.port2)):
             leaks += [abs(amp) for mode, amp in amps.items()
-                      if ((mode + dec.r0) // tone - dec.q0) % 2 != parity]
+                      if ((mode + r0) // tone - q0) % 2 != parity]
     return _result(5, "dsb_suppression", [("wrong-parity amplitude", leaks, 1e-14 * scale)])
 
 

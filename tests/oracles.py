@@ -16,7 +16,8 @@ expressions rather than calls into the general device path,
 `pair_table_loop` builds the pair table by a double loop of Python complex
 products, `pair_table_accumulated` sums it product by product,
 `pair_records_loop` prints each pair record with one % over its values,
-`sum_left` adds floats in a plain loop, `halfwidth_full_scan` finds the
+`sum_left` adds floats in a plain loop, `ladder_reference` gives one
+rung's RF phase by itself, `halfwidth_full_scan` finds the
 retained window in one fixed-length Bessel array that ignores eps,
 `shared_lattice` sizes one generator lattice for both arms,
 `schmidt_dense` and `schmidt_range` decompose the full port coefficient
@@ -219,10 +220,27 @@ def shared_lattice(cfg, n0: int) -> int:
     top = n0 + 8
     for arm in (cfg.pm1, cfg.pm2):
         if isinstance(arm, PMConfig):
-            dec = decompose_mode(n0, arm.tone)
+            q0, _r0 = decompose_mode(n0, arm.tone)
             hw = retained_halfwidth(arm.m, Truncation())
-            top = max(top, (dec.q0 + hw + 12) * arm.tone)
+            top = max(top, (q0 + hw + 12) * arm.tone)
     return top
+
+
+# j^e for e = 0, 1, 2, 3
+_J_POWERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+
+
+def ladder_reference(s: int, theta_rf: float) -> complex:
+    """(j exp(j theta_rf))^s for one rung s, deciding the grid afresh per call.
+
+    When theta_rf is exactly k pi/2 the value is the table entry
+    j^(s (k + 1) mod 4); otherwise it is j^(s mod 4) times
+    cmath.exp(j s theta_rf), the real promoted to complex first.
+    """
+    k = round(theta_rf / (0.5 * math.pi))
+    if theta_rf == k * (0.5 * math.pi):
+        return _J_POWERS[(s * (k + 1)) % 4]
+    return _J_POWERS[s % 4] * cmath.exp(1j * complex(s * theta_rf))
 
 
 def sideband_mode(q: int, tone: int, r0: int) -> int:
@@ -486,10 +504,10 @@ def arm_reach(arm, n0: int, truncation: Truncation) -> tuple[int, float]:
                 1.0 + 2.0 * sum(drive.m for drive in arm.tones))
     if arm is None or arm.m == 0.0:
         return n0, 1.0
-    dec = decompose_mode(n0, arm.tone)
+    q0, r0 = decompose_mode(n0, arm.tone)
     hw = retained_halfwidth(arm.m, truncation)
     # each exact entry J_s - (-1)^q0 J_{s+2q0} has magnitude at most 2
-    return (dec.q0 + hw) * arm.tone - dec.r0, 2.0 * (2 * hw + 1)
+    return (q0 + hw) * arm.tone - r0, 2.0 * (2 * hw + 1)
 
 
 def reach_field_bound(eom, n0: int, truncation: Truncation) -> tuple[int, float]:

@@ -26,8 +26,8 @@ from oracles import composition_full, shared_lattice, single_drive_output, sum_l
 
 
 def _order(mode, n0, tone):
-    dec = decompose_mode(n0, tone)
-    return (mode + dec.r0) // tone - dec.q0
+    q0, r0 = decompose_mode(n0, tone)
+    return (mode + r0) // tone - q0
 
 
 def test_preset_names():

@@ -19,29 +19,28 @@ from oracles import sideband_mode
     ],
 )
 def test_decompose_examples(n0, tone, q0, r0):
-    dec = decompose_mode(n0, tone)
-    assert (dec.q0, dec.r0, dec.tone) == (q0, r0, tone)
-    assert dec.carrier == n0
+    assert decompose_mode(n0, tone) == (q0, r0)
+    assert q0 * tone - r0 == n0
 
 
 @given(n0=st.integers(1, 10_000), tone=st.integers(1, 64))
 def test_decompose_roundtrip(n0, tone):
-    dec = decompose_mode(n0, tone)
-    assert dec.q0 >= 1
-    assert 0 <= dec.r0 < tone
-    assert dec.q0 * tone - dec.r0 == n0
-    assert sideband_mode(dec.q0, tone, dec.r0) == n0
+    q0, r0 = decompose_mode(n0, tone)
+    assert q0 >= 1
+    assert 0 <= r0 < tone
+    assert q0 * tone - r0 == n0
+    assert sideband_mode(q0, tone, r0) == n0
 
 
 @given(n0=st.integers(1, 5_000), tone=st.integers(1, 32), step=st.integers(-5, 40))
 def test_sideband_modes_stay_on_ladder(n0, tone, step):
-    dec = decompose_mode(n0, tone)
-    q = dec.q0 + step
+    q0, r0 = decompose_mode(n0, tone)
+    q = q0 + step
     if q < 1:
         with pytest.raises(ValueError):
-            sideband_mode(q, tone, dec.r0)
+            sideband_mode(q, tone, r0)
     else:
-        mode = sideband_mode(q, tone, dec.r0)
+        mode = sideband_mode(q, tone, r0)
         assert mode >= 1
         assert (mode - n0) % tone == 0
 

@@ -17,7 +17,6 @@ from eomsim.phase_mod import (
     PMConfig,
     ToneDrive,
     Truncation,
-    ladder_phase,
     phase_factor,
     pm_multitone_row,
     pm_scatter_row,
@@ -27,7 +26,13 @@ from eomsim.special import bessel_j_array
 from eomsim.verify import pm_generator_oracle
 
 from conftest import MEMOS, clear_memos
-from oracles import bessel_reference, halfwidth_full_scan, pm_generator_chain_eigh, pm_generator_full
+from oracles import (
+    bessel_reference,
+    halfwidth_full_scan,
+    ladder_reference,
+    pm_generator_chain_eigh,
+    pm_generator_full,
+)
 
 # Scattering amplitudes frozen from the defining expression evaluated at
 # 40-digit precision: prefactor exp(j phi_b) (j exp(j theta))^(q-q0) times
@@ -61,7 +66,7 @@ def test_coefficients_against_independent_bessel_oracle(q, q0, m, phi_b, theta, 
 
 @given(s=st.integers(-60, 60), theta=st.floats(-math.pi, math.pi, allow_nan=False))
 def test_ladder_phase_matches_direct_power(s, theta):
-    got = ladder_phase(s, theta)
+    got = phase_mod._ladder(theta)(s)
     want = (1j) ** (s % 4) * cmath.exp(1j * (s * theta))
     assert abs(got) == pytest.approx(1.0, abs=1e-15)
     assert got == pytest.approx(want, abs=1e-12)
@@ -77,12 +82,15 @@ def test_ladder_phase_matches_direct_power(s, theta):
     ],
 )
 def test_ladder_phase_exact_on_quarter_turn_grid(theta, table):
+    rung = phase_mod._ladder(theta)
     for s in range(-8, 8):
-        assert ladder_phase(s, theta) == table[s % 4]
+        assert rung(s) == table[s % 4]
+        assert ladder_reference(s, theta) == table[s % 4]
 
 
 def test_phase_factor_exact_values():
     assert phase_factor(0.0) == 1.0
+    assert repr(phase_factor(-0.0)) == repr(phase_factor(0.0)) == "(1+0j)"
     assert phase_factor(math.pi / 2) == 1j
     assert phase_factor(math.pi) == -1.0
     assert phase_factor(-math.pi / 2) == -1j
@@ -134,7 +142,7 @@ def test_scatter_row_respects_lattice_wall(m, tone, n0):
 def test_scatter_row_matches_generator_route(m, tone, n0):
     cfg = PMConfig(phi_b=0.9, m=m, theta_rf=1.7, tone=tone)
     hw = retained_halfwidth(m, Truncation())
-    n_max = (decompose_mode(n0, tone).q0 + hw + 12) * tone
+    n_max = (decompose_mode(n0, tone)[0] + hw + 12) * tone
     oracle = pm_generator_oracle(cfg, n0, n_max)
     row = pm_scatter_row(n0, cfg)
     for mode, amp in row.items():
@@ -156,7 +164,7 @@ def test_generator_chain_row_matches_full_lattice(tone, n0, m):
     # carrier's chain must equal row n0 of the full-lattice exponential,
     # including carriers below one tone, where the chain starts at n0
     cfg = PMConfig(phi_b=0.4, m=m, theta_rf=1.1, tone=tone)
-    n_max = (decompose_mode(n0, tone).q0 + retained_halfwidth(m, Truncation()) + 12) * tone
+    n_max = (decompose_mode(n0, tone)[0] + retained_halfwidth(m, Truncation()) + 12) * tone
     full = pm_generator_full(cfg, n_max)[n0 - 1]
     chain = pm_generator_oracle(cfg, n0, n_max)
     assert min(chain) == (n0 - 1) % tone + 1
@@ -209,7 +217,7 @@ def test_eigenbasis_row_matches_chain_eigh(m):
 def test_eigenbasis_row_matches_chain_eigh_drawn(m, phi_b, theta_rf, tone, r0, q0, extra):
     n0 = q0 * tone - r0 % tone
     cfg = PMConfig(phi_b=phi_b, m=m, theta_rf=theta_rf, tone=tone)
-    size = decompose_mode(n0, tone).q0 + extra
+    size = decompose_mode(n0, tone)[0] + extra
     assert _worst_against_eigh(cfg, n0, _chain_lattice(tone, n0, size)) < 1e-13
 
 
@@ -227,19 +235,20 @@ def test_eigenbasis_row_uses_no_bessel_code(monkeypatch, fresh_windows):
 
 def _full_array_row(n0, cfg, tr, model):
     # the row with every image term J_{q+q0}(m) read from one array that
-    # reaches the top image order, however far up the carrier sits
-    dec = decompose_mode(n0, cfg.tone)
+    # reaches the top image order, however far up the carrier sits, and
+    # each rung's RF phase from the per-rung reference
+    q0, r0 = decompose_mode(n0, cfg.tone)
     hw = retained_halfwidth(cfg.m, tr)
-    jarr = bessel_j_array(2 * dec.q0 + hw, cfg.m)
-    sign = -1.0 if dec.q0 % 2 else 1.0
+    jarr = bessel_j_array(2 * q0 + hw, cfg.m)
+    sign = -1.0 if q0 % 2 else 1.0
     row = {}
-    for q in range(max(1, dec.q0 - hw), dec.q0 + hw + 1):
-        s = q - dec.q0
+    for q in range(max(1, q0 - hw), q0 + hw + 1):
+        s = q - q0
         js = jarr[abs(s)] if s >= 0 or s % 2 == 0 else -jarr[abs(s)]
-        bracket = js if model == "optical" else js - sign * jarr[q + dec.q0]
-        amp = phase_factor(cfg.phi_b) * ladder_phase(s, cfg.theta_rf) * bracket
+        bracket = js if model == "optical" else js - sign * jarr[q + q0]
+        amp = phase_factor(cfg.phi_b) * ladder_reference(s, cfg.theta_rf) * bracket
         if amp != 0.0:
-            row[q * dec.tone - dec.r0] = amp
+            row[q * cfg.tone - r0] = amp
     return row
 
 
@@ -477,7 +486,7 @@ def test_matched_arms_share_one_bessel_window(monkeypatch, fresh_windows):
                                       0.7, -2.3])
 def test_row_applies_ladder_phase_rung_by_rung(theta_rf, model):
     # the row decides once whether theta_rf is on the quarter-turn grid; the
-    # result must equal ladder_phase applied per rung, the sign of every zero
+    # result must equal ladder_reference applied per rung, the sign of every zero
     # part included, on both sides of the carrier
     tr = Truncation()
     for m, tone, q0 in ((0.8, 1, 3), (2.0, 3, 9), (5.0, 2, 30)):
