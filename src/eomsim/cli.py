@@ -56,8 +56,9 @@ def _csv_field(text: str) -> str:
 # The record kinds of a run point: per kind, its JSON keys and their %
 # conversions, in the order of the point's record tuples.  No key, %d integer
 # or finite %r float holds an "n", while %r spells the non-finite floats "nan"
-# and "inf", which json writes as NaN and Infinity.  A point's "pairs" is a
-# `PairTable` of columns instead of a list of tuples (see `_table_texts`).
+# and "inf", which json writes as NaN and Infinity.  A point's "phasors" and
+# "rows" are lists of record tuples; its "pairs" is a `PairTable` of columns
+# (see `_table_texts`) and its "samples" the two columns `(times, fields)`.
 RECORDS = {
     "rows": (("port", "d"), ("mode", "d"), ("order", "d"), ("re", "r"), ("im", "r"), ("prob", "r")),
     "pairs": (("port_a", "d"), ("mode_a", "d"), ("port_b", "d"), ("mode_b", "d"),
@@ -81,6 +82,8 @@ CSV_LAYOUTS = {
     "phasors": "phasor,%d,%.17g,,%.17g,%.17g,",
     "samples": "sample,,,%.17g,,,%.17g",
 }
+# Samples per joined block of CSV sample lines (see `_sample_texts`).
+SAMPLE_BLOCK = 4096
 CSV_HEADERS = {
     "spectrum": "point,port,mode,order,re,im,prob",
     "coherent": "point,port,mode,order,re,im,prob",
@@ -155,7 +158,7 @@ def _mean_field_point(pt: RunPoint, idx: int) -> dict:
         "port": mf.port,
         "model": pt.model,
         "phasors": [(mode, omega, ph.real, ph.imag) for mode, omega, ph in series.terms],
-        "samples": list(zip(series.times.tolist(), series.values.tolist())),
+        "samples": (series.times.tolist(), series.values.tolist()),
     }
 
 
@@ -176,7 +179,8 @@ def emit_run(command: str, points: list[dict], fmt: str) -> str:
 
     A point maps its fields to values in output order; the `RECORDS` fields
     hold lists of record tuples, except "pairs", a `PairTable` of columns
-    (see `_table_texts`).  JSON equals json.dumps(indent=2) of the run with
+    (see `_table_texts`), and "samples", the two lists of Python floats
+    `(times, fields)`.  JSON equals json.dumps(indent=2) of the run with
     each record as an object of its kind's keys.
     """
     if fmt == "json":
@@ -202,7 +206,19 @@ def emit_run(command: str, points: list[dict], fmt: str) -> str:
 def _record_texts(kind: str, records, layout: str, fmt: str) -> list[str]:
     if kind == "pairs":
         return _table_texts(records, layout, FIELD_SEPARATORS[fmt])
+    if kind == "samples":
+        return _sample_texts(*records, layout)
     return list(map(layout.__mod__, records))
+
+
+def _sample_texts(times: list, fields: list, layout: str) -> list[str]:
+    """The CSV lines of the samples, joined in blocks of `SAMPLE_BLOCK`.
+
+    zip hands % one reused (t, field) tuple, and a block's one text holds
+    the lines in less memory than a str per line would.
+    """
+    return ["\n".join(map(layout.__mod__, zip(times[i:i + SAMPLE_BLOCK], fields[i:i + SAMPLE_BLOCK])))
+            for i in range(0, len(times), SAMPLE_BLOCK)]
 
 
 def _table_texts(table, layout: str, sep: str) -> list[str]:
@@ -236,16 +252,36 @@ def _json_point(point: dict) -> str:
 
 
 def _json_records(kind: str, records) -> str:
-    texts = _record_texts(kind, records, JSON_LAYOUTS[kind], "json")
-    if not texts:
-        return "[]"
-    # bracket the end records, so that the list's text is built in one join
-    texts[0] = "[\n" + texts[0]
-    texts[-1] += "\n      ]"
-    text = ",\n".join(texts)
+    if kind == "samples":
+        text = _json_sample_text(*records)
+    else:
+        texts = _record_texts(kind, records, JSON_LAYOUTS[kind], "json")
+        if not texts:
+            return "[]"
+        # bracket the end records, so that the list's text is built in one join
+        texts[0] = "[\n" + texts[0]
+        texts[-1] += "\n      ]"
+        text = ",\n".join(texts)
     if "n" in text:  # a "nan" or "inf", which json writes as NaN and Infinity
         text = text.replace("nan", "NaN").replace("inf", "Infinity")
     return text
+
+
+def _json_sample_text(times: list, fields: list) -> str:
+    """The JSON list of sample records, the text of its per-record layout.
+
+    The layout's text around its two %r goes between the reprs of each
+    sample's time and field, so the whole list is one join of strings.
+    """
+    if not times:
+        return "[]"
+    head, mid, tail = JSON_LAYOUTS["samples"].split("%r")
+    pieces = [None, mid, None, tail + ",\n" + head] * len(times)
+    pieces[0::4] = map(repr, times)
+    pieces[2::4] = map(repr, fields)
+    pieces[0] = "[\n" + head + pieces[0]
+    pieces[-1] = tail + "\n      ]"
+    return "".join(pieces)
 
 
 def _json_value(value) -> str:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from eomsim import phase_mod, verify
+from eomsim import cli, phase_mod, verify
 from eomsim.cli import CSV_HEADERS, RECORDS, _column_text, build_parser, emit_run, main, run_points
 from eomsim.config import parse_config
 from eomsim.engine import PairTable
@@ -61,6 +61,8 @@ def _json_dumps_run(command, points):
 def _record_tuples(kind, records):
     if kind == "pairs":  # a PairTable of columns
         return zip(*(column.tolist() for column in records))
+    if kind == "samples":  # the two columns (times, fields)
+        return zip(*records, strict=True)
     return records
 
 
@@ -72,7 +74,17 @@ def test_json_writer_equals_json_dumps_on_golden_runs(command, config):
     assert text == (GOLDEN / f"{Path(config).stem}.json").read_text(encoding="utf-8")
 
 
+def test_mean_field_samples_are_two_columns_of_python_floats():
+    # numpy 2 spells repr(np.float64(x)) "np.float64(x)", so the writer needs Python floats
+    (point,) = run_points(parse_config((CONFIGS / "multitone_mean_field.json").read_text()))
+    times, fields = point["samples"]
+    assert type(times) is list and type(fields) is list
+    assert len(times) == len(fields) == 33
+    assert {type(x) for x in times + fields} == {float}
+
+
 FLOATS = st.floats() | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
+SUBNORMALS = st.sampled_from([5e-324, -5e-324, 2.225073858507201e-308, -1e-310])
 INTS = st.integers(-(2**70), 2**70)
 INT64S = st.integers(-(2**63), 2**63 - 1)
 SCALARS = (INTS | FLOATS | st.sampled_from(["exact", "optical"]) | st.lists(FLOATS, max_size=3)
@@ -94,6 +106,11 @@ def _runs(draw):
                                    unique=True)):
             point[field] = draw(SCALARS)
         for kind in draw(st.lists(st.sampled_from(sorted(RECORDS)), unique=True)):
+            if kind == "samples":  # two float columns of one length, maybe empty
+                size = draw(st.integers(0, 4))
+                column = st.lists(FLOATS | SUBNORMALS, min_size=size, max_size=size)
+                point[kind] = (draw(column), draw(column))
+                continue
             ints = INT64S if kind == "pairs" else INTS
             record = st.tuples(*(ints if conversion == "d" else FLOATS
                                  for _key, conversion in RECORDS[kind]))
@@ -109,9 +126,6 @@ def _runs(draw):
 def test_json_writer_equals_json_dumps(run):
     command, points = run
     assert emit_run(command, points, "json") == _json_dumps_run(command, points)
-
-
-SUBNORMALS = st.sampled_from([5e-324, -5e-324, 2.225073858507201e-308, -1e-310])
 
 
 @st.composite
@@ -138,10 +152,26 @@ def test_no_record_key_holds_an_n():
 
 def test_json_writer_spells_non_finite_floats_as_json_does():
     point = {"point": 0, "norm": math.nan, "pairs": _pair_table([(1, 2, 1, 2, -0.0, math.inf, math.nan)]),
-             "samples": [(0.0, -math.inf), (1.5, 2.0)], "phasors": []}
+             "samples": ([0.0, 1.5], [-math.inf, 2.0]), "phasors": []}
     text = emit_run("two-photon", [point], "json")
     assert text == _json_dumps_run("two-photon", [point])
     assert '"im": Infinity' in text and '"field": -Infinity' in text and '"re": -0.0' in text
+
+
+@pytest.mark.parametrize("block", [1, 2, 32, 33, 34])
+def test_sample_lines_do_not_depend_on_the_block_size(block, monkeypatch):
+    # the golden point has 33 samples: blocks of one, a remainder, exactly one block and one short
+    monkeypatch.setattr(cli, "SAMPLE_BLOCK", block)
+    points = run_points(parse_config((CONFIGS / "multitone_mean_field.json").read_text()))
+    assert emit_run("mean-field", points, "csv") == (GOLDEN / "multitone_mean_field.csv").read_text()
+
+
+def test_empty_sample_columns_print_an_empty_list():
+    point = {"point": 0, "phasors": [], "samples": ([], [])}
+    text = emit_run("mean-field", [point], "json")
+    assert text == _json_dumps_run("mean-field", [point])
+    assert '"samples": []' in text
+    assert emit_run("mean-field", [point], "csv") == CSV_HEADERS["mean-field"] + "\n"
 
 
 def test_empty_pair_table_prints_an_empty_list():
