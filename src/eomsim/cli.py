@@ -24,6 +24,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -54,11 +55,12 @@ def _csv_field(text: str) -> str:
 
 
 # The record kinds of a run point: per kind, its JSON keys and their %
-# conversions, in the order of the point's record tuples.  No key, %d integer
+# conversions, in the order of the point's record fields.  No key, %d integer
 # or finite %r float holds an "n", while %r spells the non-finite floats "nan"
 # and "inf", which json writes as NaN and Infinity.  A point's "phasors" and
-# "rows" are lists of record tuples; its "pairs" is a `PairTable` of columns
-# (see `_table_texts`) and its "samples" the two columns `(times, fields)`.
+# "rows" are lists of record tuples; its "pairs" is a `PairTable` of columns,
+# converted once per distinct magnitude (see `_pair_blocks`), and its
+# "samples" the two columns `(times, fields)`.
 RECORDS = {
     "rows": (("port", "d"), ("mode", "d"), ("order", "d"), ("re", "r"), ("im", "r"), ("prob", "r")),
     "pairs": (("port_a", "d"), ("mode_a", "d"), ("port_b", "d"), ("mode_b", "d"),
@@ -66,11 +68,12 @@ RECORDS = {
     "phasors": (("mode", "d"), ("omega", "r"), ("re", "r"), ("im", "r")),
     "samples": (("t", "r"), ("field", "r")),
 }
-# The text between two fields of a record, in each format's layouts.
-FIELD_SEPARATORS = {"csv": ",", "json": ",\n          "}
+# The text between two fields of a record and between two records, in each
+# format's layouts.
+SEPARATORS = {"csv": (",", "\n"), "json": (",\n          ", ",\n")}
 # One record inside a point, as json.dumps(indent=2) prints it.
 JSON_LAYOUTS = {
-    kind: "        {\n          %s\n        }" % FIELD_SEPARATORS["json"].join(
+    kind: "        {\n          %s\n        }" % SEPARATORS["json"][0].join(
         '"%s": %%%s' % kv for kv in fields)
     for kind, fields in RECORDS.items()
 }
@@ -82,8 +85,18 @@ CSV_LAYOUTS = {
     "phasors": "phasor,%d,%.17g,,%.17g,%.17g,",
     "samples": "sample,,,%.17g,,,%.17g",
 }
-# Samples per joined block of CSV sample lines (see `_sample_texts`).
+# The pattern of a % conversion in a layout, its conversion in a group, and
+# each conversion as a function: `CONVERTERS[c](x) == ("%" + c) % x`.
+CONVERSION = r"%(d|r|\.17g)"
+CONVERTERS = {"d": str, "r": repr, ".17g": "%.17g".__mod__}
+# Records per joined block of pair records (see `_pair_blocks`) and of
+# sample records (see `_csv_sample_blocks` and `_json_sample_blocks`).  A
+# pair block's record texts, up to ~380 bytes each in JSON, are held until
+# its join, so its blocks are the smaller.
+PAIR_BLOCK = 1024
 SAMPLE_BLOCK = 4096
+# Characters of the text per write (see `_write_output`).
+WRITE_SLICE = 1 << 20
 CSV_HEADERS = {
     "spectrum": "point,port,mode,order,re,im,prob",
     "coherent": "point,port,mode,order,re,im,prob",
@@ -175,25 +188,25 @@ def run_points(rc: RunConfig) -> list[dict]:
 
 
 def emit_run(command: str, points: list[dict], fmt: str) -> str:
-    """Render run points, each record kind through one % layout.
+    """Render run points as one text, built in one join over a flat list of pieces.
 
     A point maps its fields to values in output order; the `RECORDS` fields
     hold lists of record tuples, except "pairs", a `PairTable` of columns
-    (see `_table_texts`), and "samples", the two lists of Python floats
-    `(times, fields)`.  JSON equals json.dumps(indent=2) of the run with
-    each record as an object of its kind's keys.
+    (see `_pair_blocks`), and "samples", the two lists of Python floats
+    `(times, fields)`.  A record is the text of its kind's % layout; pair
+    and sample records come joined in blocks, and the other pieces are the
+    heads and values of the run's points and fields.  JSON equals
+    json.dumps(indent=2) of the run with each record as an object of its
+    kind's keys.
     """
     if fmt == "json":
-        if not points:
-            return json.dumps({"command": command, "points": []}, indent=2) + "\n"
-        body = ",\n".join(map(_json_point, points))
-        return '{\n  "command": %s,\n  "points": [\n%s\n  ]\n}\n' % (json.dumps(command), body)
+        return "".join(_json_pieces(command, points))
     lines = [CSV_HEADERS[command]]
     for p in points:
         i = p["point"]
         for kind, layout in CSV_LAYOUTS.items():
             if kind in p:
-                lines.extend(_record_texts(kind, p[kind], "%d," % i + layout, "csv"))
+                lines += _csv_records(kind, p[kind], "%d," % i + layout)
         if command == "two-photon":
             lines.extend("%d,sector,%s,,,,,,%.17g" % (i, *kv) for kv in p["sectors"].items())
             lines.extend("%d,singular_value,%d,,,,,,%.17g" % (i, *kv)
@@ -203,15 +216,15 @@ def emit_run(command: str, points: list[dict], fmt: str) -> str:
     return "\n".join(lines)
 
 
-def _record_texts(kind: str, records, layout: str, fmt: str) -> list[str]:
+def _csv_records(kind: str, records, layout: str) -> list[str]:
     if kind == "pairs":
-        return _table_texts(records, layout, FIELD_SEPARATORS[fmt])
+        return _pair_blocks(records, layout, "csv")
     if kind == "samples":
-        return _sample_texts(*records, layout)
+        return _csv_sample_blocks(*records, layout)
     return list(map(layout.__mod__, records))
 
 
-def _sample_texts(times: list, fields: list, layout: str) -> list[str]:
+def _csv_sample_blocks(times: list, fields: list, layout: str) -> list[str]:
     """The CSV lines of the samples, joined in blocks of `SAMPLE_BLOCK`.
 
     zip hands % one reused (t, field) tuple, and a block's one text holds
@@ -221,67 +234,114 @@ def _sample_texts(times: list, fields: list, layout: str) -> list[str]:
             for i in range(0, len(times), SAMPLE_BLOCK)]
 
 
-def _table_texts(table, layout: str, sep: str) -> list[str]:
-    """Each record of a table of columns through `layout`, one column at a time.
+def _pair_blocks(table, layout: str, fmt: str) -> list[str]:
+    """The records of a pair table, `layout % record` each, joined in blocks of `PAIR_BLOCK`.
 
-    `layout` is split at `sep` into one % template per column, each column
-    is formatted by `_column_text`, and a record's text is its fields joined
-    by `sep`: the text of `layout % record`.  Pair amplitudes are products
-    of two one-photon rows, so most values in a pair column repeat.
+    `layout` is split at the format's field separator into one template per
+    column, `_column_texts` gives each column's texts, and a record's text is
+    its fields' texts joined by that separator.  Pair amplitudes are
+    products of two one-photon rows, so most values in a pair column repeat,
+    and many of the rest repeat with the other sign.
     """
-    templates = layout.rsplit(sep, len(table) - 1)
-    return list(map(sep.join, zip(*map(_column_text, table, templates))))
+    field_sep, record_sep = SEPARATORS[fmt]
+    templates = layout.rsplit(field_sep, len(table) - 1)
+    columns = [_column_texts(column, template, fmt == "json") for column, template in zip(table, templates)]
+    return [record_sep.join(map(field_sep.join, zip(*[texts[index[i:i + PAIR_BLOCK]].tolist()
+                                                      for texts, index in columns])))
+            for i in range(0, len(table[0]), PAIR_BLOCK)]
 
 
-def _column_text(column: np.ndarray, template: str) -> list[str]:
-    """`template % x` for each x of a numeric column, formatted once per distinct value.
+def _column_texts(column: np.ndarray, template: str, json_spelling: bool) -> tuple[np.ndarray, np.ndarray]:
+    """`template % x` for each x of a numeric column, as a table of texts and each entry's index into it.
 
-    Values are told apart by their bits, so -0.0 and 0.0 keep their own text.
+    The template's one conversion is applied bare, once per distinct
+    integer or once per distinct float magnitude (told apart by its bits),
+    and its literal text is attached after.  A negative float, -0.0 and
+    -inf included, takes its magnitude's text after a "-"; a NaN prints
+    "nan" whatever its sign.  With `json_spelling`, "nan" and "inf" are
+    spelled NaN and Infinity, as json prints them.
     """
-    bits, inverse = np.unique(column.view(f"u{column.itemsize}"), return_inverse=True)
-    text = [template % x for x in bits.view(column.dtype).tolist()]
-    return np.array(text, dtype=object)[inverse].tolist()
+    before, conversion, after = re.split(CONVERSION, template)
+    negative = None
+    if column.dtype.kind == "f":
+        negative = np.signbit(column) & (column == column)
+        column = np.abs(column).view(f"u{column.itemsize}")
+    values, index = np.unique(column, return_inverse=True)
+    if negative is not None:
+        values = values.view(f"f{values.itemsize}")
+    text = list(map(CONVERTERS[conversion], values.tolist()))
+    if json_spelling and text and "n" in text[-1]:  # the non-finite magnitudes sort last
+        text = list(map(_json_spelling, text))
+    texts = [before + t + after for t in text] if before or after else text
+    if negative is not None and negative.any():
+        index = index + len(text) * negative
+        minus = before + "-"
+        texts = texts + [minus + t + after for t in text]
+    return np.array(texts, dtype=object), index
 
 
-def _json_point(point: dict) -> str:
-    fields = ",\n".join(
-        '      "%s": %s' % (key, _json_records(key, value) if key in RECORDS else _json_value(value))
-        for key, value in point.items()
-    )
-    return "    {\n%s\n    }" % fields
+def _json_pieces(command: str, points: list[dict]) -> list[str]:
+    """The pieces of a run's JSON text, in order."""
+    pieces = ['{\n  "command": %s,\n  "points": [' % json.dumps(command)]
+    for p in points:
+        head = "\n    {\n"
+        for key, value in p.items():
+            pieces.append('%s      "%s": ' % (head, key))
+            if key in RECORDS:
+                pieces += _json_records(key, value)
+            else:
+                pieces.append(_json_value(value))
+            head = ",\n"
+        pieces.append("\n    },")
+    if not points:
+        return pieces + ["]\n}\n"]
+    pieces[-1] = "\n    }\n  ]\n}\n"
+    return pieces
 
 
-def _json_records(kind: str, records) -> str:
-    if kind == "samples":
-        text = _json_sample_text(*records)
+def _json_records(kind: str, records) -> list[str]:
+    """The pieces of a point's JSON list of records: its records, joined in blocks, between brackets."""
+    layout = JSON_LAYOUTS[kind]
+    if kind == "pairs":
+        blocks = _pair_blocks(records, layout, "json")
+    elif kind == "samples":
+        blocks = list(map(_json_spelling, _json_sample_blocks(*records)))
     else:
-        texts = _record_texts(kind, records, JSON_LAYOUTS[kind], "json")
-        if not texts:
-            return "[]"
-        # bracket the end records, so that the list's text is built in one join
-        texts[0] = "[\n" + texts[0]
-        texts[-1] += "\n      ]"
-        text = ",\n".join(texts)
-    if "n" in text:  # a "nan" or "inf", which json writes as NaN and Infinity
-        text = text.replace("nan", "NaN").replace("inf", "Infinity")
-    return text
+        blocks = [_json_spelling(",\n".join(map(layout.__mod__, records)))] if records else []
+    if not blocks:
+        return ["[]"]
+    pieces = ["[\n"]
+    for block in blocks:
+        pieces += (block, ",\n")
+    pieces[-1] = "\n      ]"
+    return pieces
 
 
-def _json_sample_text(times: list, fields: list) -> str:
-    """The JSON list of sample records, the text of its per-record layout.
+def _json_sample_blocks(times: list, fields: list) -> list[str]:
+    """The JSON sample records, the text of their layout, joined in blocks of `SAMPLE_BLOCK`.
 
     The layout's text around its two %r goes between the reprs of each
-    sample's time and field, so the whole list is one join of strings.
+    sample's time and field, so a block is one join of strings.
     """
-    if not times:
-        return "[]"
     head, mid, tail = JSON_LAYOUTS["samples"].split("%r")
-    pieces = [None, mid, None, tail + ",\n" + head] * len(times)
-    pieces[0::4] = map(repr, times)
-    pieces[2::4] = map(repr, fields)
-    pieces[0] = "[\n" + head + pieces[0]
-    pieces[-1] = tail + "\n      ]"
-    return "".join(pieces)
+    between = tail + ",\n" + head
+    blocks = []
+    for i in range(0, len(times), SAMPLE_BLOCK):
+        block = times[i:i + SAMPLE_BLOCK]
+        pieces = [between, None, mid, None] * len(block)
+        pieces[0] = head
+        pieces[1::4] = map(repr, block)
+        pieces[3::4] = map(repr, fields[i:i + SAMPLE_BLOCK])
+        pieces.append(tail)
+        blocks.append("".join(pieces))
+    return blocks
+
+
+def _json_spelling(text: str) -> str:
+    """`text` with %r's "nan" and "inf" spelled NaN and Infinity, as json prints them."""
+    if "n" in text:  # no key or finite number holds an "n"
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return text
 
 
 def _json_value(value) -> str:
@@ -304,16 +364,26 @@ def emit_verify(results: list, scale: float, fmt: str) -> str:
 
 
 def _write_output(text: str, out_path: str | None) -> int:
+    """Write `text` to `out_path`, or to stdout if None, in slices of `WRITE_SLICE` characters.
+
+    A text stream encodes what it is given whole, so slices bound that
+    encoded copy by the slice, not by the text.
+    """
     if out_path is None:
-        sys.stdout.write(text)
+        _write_slices(sys.stdout, text)
         return 0
     try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            _write_slices(fh, text)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
     return 0
+
+
+def _write_slices(stream, text: str) -> None:
+    for i in range(0, len(text), WRITE_SLICE):
+        stream.write(text[i:i + WRITE_SLICE])
 
 
 def _load_config(path: str, command: str, model: str | None = None) -> tuple[RunConfig | None, int]:
@@ -346,7 +416,9 @@ def _cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     fmt = args.format if args.format is not None else rc.fmt
-    return _write_output(emit_run(rc.command, points, fmt), args.out)
+    text = emit_run(rc.command, points, fmt)
+    del points  # the text is all that is left to write
+    return _write_output(text, args.out)
 
 
 def _cmd_verify(args) -> int:

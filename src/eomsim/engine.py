@@ -126,8 +126,8 @@ class TwoPhotonState:
         multiplies complex numbers, with a missing entry as 0.0 + 0.0j; numpy's
         complex multiply differs in the last digit, by CPU.  Each amplitude is a
         running sum from 0.0 (a -0.0 product adds as +0.0).  `prob` takes
-        Python's float ** on each modulus: numpy's square and power differ from
-        it in the last digit.
+        Python's float ** on each distinct modulus: numpy's square and power
+        differ from it in the last digit.
         """
         first, second = self.first, self.second
         labels = sorted({(p, m) for spec in (first, second) for p in (1, 2) for m in spec.port(p)})
@@ -142,7 +142,8 @@ class TwoPhotonState:
         np.add(im, ar[y] * bi[x] + ai[y] * br[x], out=im, where=off)
         keep = (re != 0.0) | (im != 0.0)
         x, y, re, im, off = x[keep], y[keep], re[keep], im[keep], off[keep]
-        squares = np.array([h ** 2 for h in np.hypot(re, im).tolist()])
+        moduli, index = np.unique(np.hypot(re, im), return_inverse=True)
+        squares = np.array([h ** 2 for h in moduli.tolist()])[index]
         ports = np.array([p for p, _m in labels])
         modes = np.array([m for _p, m in labels])
         return PairTable(ports[x], modes[x], ports[y], modes[y], re, im,

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from eomsim import cli, phase_mod, verify
-from eomsim.cli import CSV_HEADERS, RECORDS, _column_text, build_parser, emit_run, main, run_points
+from eomsim.cli import (CSV_HEADERS, CSV_LAYOUTS, JSON_LAYOUTS, RECORDS, _pair_blocks, build_parser, emit_run,
+                        main, run_points)
 from eomsim.config import parse_config
 from eomsim.engine import PairTable
 import regen_goldens
@@ -128,21 +129,47 @@ def test_json_writer_equals_json_dumps(run):
     assert emit_run(command, points, "json") == _json_dumps_run(command, points)
 
 
+NEGATIVE_NAN = float(np.copysign(math.nan, -1.0))  # a NaN with its sign bit set
+
+
 @st.composite
-def _repeating_columns(draw):
-    """A float column drawn from a small pool of values, so that values repeat."""
-    pool = draw(st.lists(FLOATS | SUBNORMALS, min_size=1, max_size=6))
-    return np.array(draw(st.lists(st.sampled_from(pool), max_size=40)), dtype=np.float64)
+def _signed_pair_tables(draw):
+    """A pair table whose columns draw from small pools, each magnitude with both signs.
+
+    Values repeat, by value and by magnitude, and the float pool holds -0.0,
+    a NaN with its sign bit set, both infinities and subnormals.
+    """
+    ints = draw(st.lists(INT64S, min_size=1, max_size=4))
+    ints += [-x for x in ints if x > -(2**63)]
+    floats = draw(st.lists(FLOATS | SUBNORMALS, min_size=1, max_size=5))
+    floats += [-x for x in floats] + draw(st.lists(
+        st.sampled_from([-0.0, NEGATIVE_NAN, math.inf, -math.inf, -5e-324]), max_size=3))
+    records = draw(st.lists(st.tuples(*(st.sampled_from(ints if conversion == "d" else floats)
+                                        for _key, conversion in RECORDS["pairs"])), max_size=40))
+    return _pair_table(records), records
+
+
+def _json_spelled(text):
+    return text.replace("nan", "NaN").replace("inf", "Infinity")
 
 
 @settings(max_examples=300, deadline=None)
-@given(_repeating_columns(), st.sampled_from(["%r", "%.17g", '"re": %r\n        }', "0,pair,%.17g"]))
-@example(np.array([0.0, -0.0, 0.0, -0.0]), "%r")
-@example(np.array([math.nan, math.inf, -math.inf, 5e-324, math.nan]), "%.17g")
-@example(np.array([-0.0]), "%.17g")
-@example(np.array([], dtype=np.float64), "%r")
-def test_column_text_equals_per_value_formatting(column, template):
-    assert _column_text(column, template) == [template % x for x in column.tolist()]
+@given(_signed_pair_tables(), st.sampled_from(["csv", "json"]))
+@example((_pair_table([(1, 2, 1, 2, -0.0, NEGATIVE_NAN, -math.inf)] * 2),
+          [(1, 2, 1, 2, -0.0, NEGATIVE_NAN, -math.inf)] * 2), "csv")
+@example((_pair_table([(1, 2, 1, 2, -0.0, NEGATIVE_NAN, -math.inf)] * 2),
+          [(1, 2, 1, 2, -0.0, NEGATIVE_NAN, -math.inf)] * 2), "json")
+@example((_pair_table([]), []), "json")
+def test_pair_text_equals_the_layout_of_each_record(drawn, fmt):
+    # %d and %.17g (CSV) or %r with json's NaN and Infinity (JSON), converted once per magnitude
+    table, records = drawn
+    if fmt == "csv":
+        layout = "7," + CSV_LAYOUTS["pairs"]
+        expected = "\n".join(layout % record for record in records)
+    else:
+        expected = _json_spelled(",\n".join(JSON_LAYOUTS["pairs"] % record for record in records))
+        layout = JSON_LAYOUTS["pairs"]
+    assert "".join(_pair_blocks(table, layout, fmt)) == expected
 
 
 def test_no_record_key_holds_an_n():
@@ -164,6 +191,32 @@ def test_sample_lines_do_not_depend_on_the_block_size(block, monkeypatch):
     monkeypatch.setattr(cli, "SAMPLE_BLOCK", block)
     points = run_points(parse_config((CONFIGS / "multitone_mean_field.json").read_text()))
     assert emit_run("mean-field", points, "csv") == (GOLDEN / "multitone_mean_field.csv").read_text()
+
+
+@pytest.mark.parametrize("block", [1, 2, 32, 33, 34])
+def test_json_sample_records_do_not_depend_on_the_block_size(block, monkeypatch):
+    monkeypatch.setattr(cli, "SAMPLE_BLOCK", block)
+    points = run_points(parse_config((CONFIGS / "multitone_mean_field.json").read_text()))
+    assert emit_run("mean-field", points, "json") == (GOLDEN / "multitone_mean_field.json").read_text()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("block", [1, 2, 505, 506, 507])
+def test_pair_records_do_not_depend_on_the_block_size(block, fmt, monkeypatch):
+    # the golden point has 506 pairs: blocks of one, a remainder, exactly one block and one short
+    monkeypatch.setattr(cli, "PAIR_BLOCK", block)
+    points = run_points(parse_config((CONFIGS / "dc_two_photon.json").read_text()))
+    assert emit_run("two-photon", points, fmt) == (GOLDEN / f"dc_two_photon.{fmt}").read_text()
+
+
+@pytest.mark.parametrize("size", [1, 7, 1 << 20])
+def test_written_text_does_not_depend_on_the_write_slice(size, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "WRITE_SLICE", size)
+    argv = ["two-photon", "--config", str(CONFIGS / "dc_two_photon.json"), "--format", "json"]
+    assert main(argv + ["--out", str(tmp_path / "out.json")]) == 0
+    assert (tmp_path / "out.json").read_bytes() == (GOLDEN / "dc_two_photon.json").read_bytes()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / "dc_two_photon.json").read_text()
 
 
 def test_empty_sample_columns_print_an_empty_list():
