@@ -161,8 +161,7 @@ def _two_photon_point(pt: RunPoint, idx: int) -> dict:
 
 def _mean_field_point(pt: RunPoint, idx: int) -> dict:
     mf = pt.mean_field
-    spec = coherent_output(pt.eom, pt.input_port, pt.n0, pt.alpha, pt.truncation, pt.model)
-    series = mean_field(spec, mf.port, mf.grid, mf.nu, mf.length, mf.field_scale)
+    series = mean_field(mf.spectrum, mf.port, mf.grid, mf.nu, mf.length, mf.field_scale)
     return {
         "point": idx,
         "input_port": pt.input_port,

@@ -7,11 +7,12 @@ produces one output block per point.  Every object may carry a free-text
 "description" field, which is ignored.
 
 A mean-field point is measured, not modelled: parsing computes the coherent
-output the run will sample and refuses the point unless every occupied mode
-n has a finite frequency omega_n, finite phases omega_n*t at the largest |t|
-and omega_n*|t_stop - t_start| (the sampler's offsets within a block), a
-finite |field_scale|*sqrt(omega_n), and the triangle bound
-2 * sum_n |field_scale| |A_n| sqrt(omega_n) on every sample is at most 1e300.
+output the run will sample, keeps it on the point, and refuses the point
+unless every occupied mode n has a finite frequency omega_n, finite phases
+omega_n*t at the largest |t| and omega_n*|t_stop - t_start| (the sampler's
+offsets within a block), a finite |field_scale|*sqrt(omega_n), and the
+triangle bound 2 * sum_n |field_scale| |A_n| sqrt(omega_n) on every sample
+is at most 1e300.
 
 Validation errors name the offending field by path and are raised as
 :class:`ConfigError`, which the CLI maps to exit status 1.
@@ -22,12 +23,12 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .engine import (EOMConfig, SampleGrid, _check_port, _sum_in_order, coherent_output, dsb_settings,
-                     preset, ssb_settings, PRESETS)
+from .engine import (EOMConfig, SampleGrid, TwoPortSpectrum, _check_port, _sum_in_order, coherent_output,
+                     dsb_settings, preset, ssb_settings, PRESETS)
 from .lattice import _check_mode, mode_omega
 from .phase_mod import MODELS, MultitonePMConfig, PMConfig, ToneDrive, Truncation, pm_multitone_row
 from .splitters import SplitterSpec
@@ -55,11 +56,15 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class MeanFieldParams:
+    """How a mean-field point samples `spectrum`, the coherent output that parsing computed
+    (it follows from the `RunPoint`, so it takes no part in equality, hashing or repr)."""
+
     port: int
     grid: SampleGrid
     nu: float
     length: float
     field_scale: float
+    spectrum: TwoPortSpectrum = field(compare=False, repr=False)
 
     @property
     def times(self) -> np.ndarray:
@@ -226,7 +231,8 @@ def _resolve_point(doc: dict, command: str, prefix: str, model_override: str | N
         t_max = float(np.max(np.abs(grid.times([0, ns - 1]))))
         span = abs(t1 - t0) if ns > 1 else 0.0  # bounds the sampler's offsets; one sample ignores t_stop
         with _field(prefix + "input"):
-            amps = coherent_output(eom, port, n0, alpha, truncation, model).port(mf_port)
+            spectrum = coherent_output(eom, port, n0, alpha, truncation, model)
+        amps = spectrum.port(mf_port)
         terms = []
         for mode, amp in amps.items():
             try:
@@ -250,7 +256,8 @@ def _resolve_point(doc: dict, command: str, prefix: str, model_override: str | N
             if not math.isfinite(abs(fs) * math.sqrt(mode_omega(mode, nu, length))):
                 raise ConfigError(f"{here}.field_scale: |field_scale|*sqrt(omega) must be finite for every "
                                   f"occupied mode, but overflows at mode {mode}")
-        mf = MeanFieldParams(port=mf_port, grid=grid, nu=nu, length=length, field_scale=fs)
+        mf = MeanFieldParams(port=mf_port, grid=grid, nu=nu, length=length, field_scale=fs,
+                             spectrum=spectrum)
 
     return RunPoint(eom=eom, input_port=port, n0=n0, alpha=alpha, truncation=truncation,
                     model=model, mean_field=mf)

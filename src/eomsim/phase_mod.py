@@ -172,7 +172,8 @@ def retained_halfwidth(m: float, truncation: Truncation) -> int:
     order past int(m) where that bound drops below eps, plus `_BOUND_SLACK`
     orders so that rounding in lgamma cannot cut it short.  The recurrence's
     length therefore follows the window, not a fixed int(m) + 401 orders.
-    The array comes from `_bessel_pass`, which keeps the last four passes.
+    The array comes from `_bessel_pass`, so a repeated call costs the lgamma
+    walk and the scan but no recurrence.
     """
     if m == 0.0:
         return truncation.margin
@@ -207,14 +208,13 @@ def pm_scatter_row(
 
     Everything but the bias and the RF phase depends only on (n0, m, tone,
     truncation, model): that window of real Bessel brackets comes from
-    `_scatter_window`.  Three memos, each sized for one two-arm device, keep
-    the work it reads: `_scatter_window` its last two windows,
-    `_halfwidth` its last two (m, truncation) halfwidths, and `_bessel_pass`
-    its last four (s_max, m) Bessel passes (each arm's halfwidth scan and
-    window array).  Matched arms, the input ports and points that repeat
-    them, and carriers of one depth past the array's cut share their passes;
-    a run of distinct devices keeps nothing.  Whether theta_rf lies on the
-    quarter-turn grid is decided once per row, by `_ladder`.
+    `_scatter_window`.  Two memos keep the work it reads: `_scatter_window`
+    its last window, which a matched second arm reads, and `_bessel_pass`
+    its last eight (s_max, m) Bessel passes (the halfwidth scan's and the
+    window's array, per depth), which another carrier, model or truncation
+    of the same depth reads.  A run of distinct devices keeps nothing.
+    Whether theta_rf lies on the quarter-turn grid is decided once per row,
+    by `_ladder`.
     """
     _check_model(model)
     _check_mode(n0)
@@ -231,20 +231,19 @@ def pm_scatter_row(
     return row
 
 
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=1)
 def _scatter_window(
     n0: int, m: float, tone: int, truncation: Truncation, model: str
 ) -> tuple[tuple[int, int, complex], ...]:
     """(mode, s, bracket) per retained sideband rung q = q0 + s of `pm_scatter_row`.
 
     bracket is complex(J_s(m) - (-1)^q0 J_{q+q0}(m)), or complex(J_s(m)) in
-    the optical model.  The memo holds two windows, one per arm: enough for
-    the arms of one device, and too few to outlast a run of distinct points.
-    The halfwidth and the Bessel array come from their own memos, sized the
-    same way, so a window that misses may still reuse its arm's passes.
+    the optical model.  The memo holds the last window only: a matched
+    second arm reads the first arm's, and a window that misses still finds
+    its Bessel passes in `_bessel_pass`.
     """
     q0, r0 = decompose_mode(n0, tone)
-    hw = _halfwidth(m, truncation)
+    hw = retained_halfwidth(m, truncation)
     q_lo = max(1, q0 - hw)
     q_hi = q0 + hw
     # image orders q + q0 past hw + m + 80 lie below double precision, so
@@ -262,20 +261,11 @@ def _scatter_window(
     return tuple(window)
 
 
-@functools.lru_cache(maxsize=2)
-def _halfwidth(m: float, truncation: Truncation) -> int:
-    """`retained_halfwidth`, kept for the last two (m, truncation), one per arm.
-
-    `_scatter_window` and verify's oracle lattice read it, so one device's
-    two arms scan their windows once between them.
-    """
-    return retained_halfwidth(m, truncation)
-
-
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=8)
 def _bessel_pass(s_max: int, m: float) -> tuple[float, ...]:
-    """`bessel_j_array(s_max, m)` as a tuple, kept for the last four passes:
-    an arm's halfwidth scan and its window's array, for each of two arms.
+    """`bessel_j_array(s_max, m)` as a tuple, kept for the last eight passes:
+    each depth's halfwidth scan and window array, for the few depths that a
+    device and verify's checks interleave.
 
     `bessel_j_array` stays a plain function, so a wrapper around it sees
     only the passes that run.
@@ -316,14 +306,14 @@ def pm_multitone_row(n0: int, cfg: MultitonePMConfig) -> dict[int, complex]:
 def _check_drive(m: float, theta_rf: float, tone: int) -> None:
     """The rules of one RF drive: an integer tone >= 1, index 0 <= m <= 50, finite phase."""
     _check_tone(tone)
-    if not 0.0 <= m <= _MAX_INDEX:
+    if isinstance(m, bool) or not 0.0 <= m <= _MAX_INDEX:
         raise ValueError(f"modulation index must lie in [0, {_MAX_INDEX}], got {m!r}")
     _check_phase("theta_rf", theta_rf)
 
 
 def _check_phase(name: str, val: float) -> None:
-    if not math.isfinite(val):
-        raise ValueError(f"{name} must be finite, got {val!r}")
+    if isinstance(val, bool) or not math.isfinite(val):
+        raise ValueError(f"{name} must be a finite number, got {val!r}")
 
 
 def _check_model(model: str) -> None:

@@ -52,9 +52,9 @@ from .phase_mod import (
     PMConfig,
     ToneDrive,
     Truncation,
-    _halfwidth,
     pm_multitone_row,
     pm_scatter_row,
+    retained_halfwidth,
 )
 from .splitters import SplitterCoeffs, SplitterSpec, splitter_coeffs
 
@@ -133,12 +133,10 @@ def composition_oracle(cfg: EOMConfig, input_port: int, n0: int) -> TwoPortSpect
     its carrier and none exponentiates modes that only the other arm
     reaches.  Modes beyond an arm's lattice
     count as zero in that arm.  No amplitude comes from the closed-form path
-    beyond the splitter tables themselves: the lattice size reads the
-    closed form's halfwidth memo (``phase_mod._halfwidth``, the last two
-    ``retained_halfwidth`` results, one per arm), but only to size the
-    lattice; in check 7 the device's own rows have just filled it.  The
-    port vectors are read back with one ``tolist``.  Disagreement beyond
-    truncation error means the closed forms are wrong.
+    beyond the splitter tables themselves: the lattice size reads
+    ``retained_halfwidth``, but only to size the lattice.  The port vectors
+    are read back with one ``tolist``.  Disagreement beyond truncation error
+    means the closed forms are wrong.
     """
     _check_port(input_port)
     arms = (cfg.pm1, cfg.pm2)
@@ -159,11 +157,12 @@ def composition_oracle(cfg: EOMConfig, input_port: int, n0: int) -> TwoPortSpect
 def _arm_lattice(arm: PMConfig, n0: int) -> int:
     """Top mode of the arm's oracle lattice: hw + 12 rungs past its carrier.
 
-    hw is the retained halfwidth at the default truncation, read from the
-    two-entry memo that the arm's own scatter row filled, not scanned again.
+    hw is the retained halfwidth at the default truncation.  When the arm's
+    own scatter row ran just before, its scan finds that row's Bessel pass
+    still in `phase_mod`'s pass memo and runs no recurrence.
     """
     q0, _r0 = decompose_mode(n0, arm.tone)
-    hw = _halfwidth(arm.m, Truncation())
+    hw = retained_halfwidth(arm.m, Truncation())
     return max(n0 + 8, (q0 + hw + 12) * arm.tone)
 
 

@@ -4,15 +4,14 @@ from pathlib import Path
 import pytest
 
 import eomsim
-from eomsim import phase_mod, verify
+from eomsim import phase_mod
 
 # every memo of the closed-form path, by its name in `phase_mod`
-MEMOS = ("_scatter_window", "_halfwidth", "_bessel_pass")
+MEMOS = ("_scatter_window", "_bessel_pass")
 
 
 def clear_memos():
-    """Empty every memo of the closed-form path: scatter windows, halfwidths
-    and Bessel passes."""
+    """Empty every memo of the closed-form path: the scatter window and the Bessel passes."""
     for name in MEMOS:
         getattr(phase_mod, name).cache_clear()
 
@@ -35,8 +34,7 @@ def fresh_windows():
 
 @pytest.fixture
 def forget_windows(monkeypatch):
-    """A function that makes every later memo lookup start from an empty memo,
-    in `phase_mod` and in `verify`, which reads the halfwidth memo too."""
+    """A function that makes every later memo lookup in `phase_mod` start from an empty memo."""
 
     def forget():
         for name in MEMOS:
@@ -46,8 +44,6 @@ def forget_windows(monkeypatch):
                 real.cache_clear()
                 return real(*key)
 
-            for module in (phase_mod, verify):
-                if getattr(module, name, None) is real:
-                    monkeypatch.setattr(module, name, forgetful)
+            monkeypatch.setattr(phase_mod, name, forgetful)
 
     return forget

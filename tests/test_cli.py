@@ -9,13 +9,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from eomsim import cli, phase_mod, verify
+from eomsim import cli, engine, phase_mod, verify
 from eomsim.cli import (CSV_HEADERS, CSV_LAYOUTS, JSON_LAYOUTS, RECORDS, _pair_blocks, build_parser, emit_run,
                         main, run_points)
 from eomsim.config import parse_config
-from eomsim.engine import PairTable
+from eomsim.engine import PairTable, coherent_output
 import regen_goldens
 from regen_goldens import golden_runs, verify_goldens
+
+from conftest import clear_memos
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -463,9 +465,9 @@ MATCHED_MEAN_FIELD = {
     "command": "mean-field", "preset": "yb_dual", "drive": {"type": "dsb", "m": 0.5, "tone": 3},
     "input": {"mode": 100, "alpha": 1.5}, "mean_field": {"t_stop": 1.0, "samples": 8},
 }
-# Three carriers of one matched device: one window each, one halfwidth and one
-# Bessel array for all three, since the image orders of every carrier lie
-# past the array's cut.
+# Three carriers of one matched device: one window each, and one halfwidth
+# pass and one window array for all three, since the image orders of every
+# carrier lie past the array's cut.
 CARRIER_SWEEP = {
     "command": "spectrum", "preset": "yb_dual", "drive": {"type": "dsb", "m": 0.5, "tone": 3},
     "input": {"mode": 200}, "sweep": [{"input": {"mode": n0}} for n0 in (200, 300, 400)],
@@ -482,7 +484,7 @@ UNMATCHED_SPECTRUM = {
 @pytest.mark.parametrize("doc, calls", [
     ("yb_dual_dsb", 2),  # 4 when each arm read its own window
     ("dc_two_photon", 2),  # 24: per arm, per input port, per point
-    (MATCHED_MEAN_FIELD, 2),  # 8: per arm, at parse and again at run time
+    (MATCHED_MEAN_FIELD, 2),  # 4: per arm at parse; the run samples the parsed output
     (CARRIER_SWEEP, 2),  # 6 when each window scanned its own halfwidth and array
     (UNMATCHED_SPECTRUM, 4),
 ])
@@ -503,6 +505,29 @@ def test_bessel_work_per_distinct_window(doc, calls, monkeypatch, tmp_path, fres
     monkeypatch.setattr(phase_mod, "bessel_j_array", recorder)
     assert main([command, "--config", str(path), "--out", str(tmp_path / "out.txt")]) == 0
     assert len(requests) == calls
+
+
+MEAN_FIELD_SWEEP = dict(MATCHED_MEAN_FIELD, sweep=[{"input": {"mode": n0}} for n0 in (100, 200, 300)])
+
+
+@pytest.mark.parametrize("doc", [MATCHED_MEAN_FIELD, MEAN_FIELD_SWEEP])
+def test_mean_field_run_samples_the_parsed_output(doc, monkeypatch):
+    rc = parse_config(json.dumps(doc))
+    for pt in rc.points:
+        clear_memos()
+        fresh = coherent_output(pt.eom, pt.input_port, pt.n0, pt.alpha, pt.truncation, pt.model)
+        for port in (1, 2):  # repr keeps the sign of a zero part
+            assert repr(pt.mean_field.spectrum.port(port)) == repr(fresh.port(port))
+    calls = []
+    real = engine.single_photon_output
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(engine, "single_photon_output", counted)
+    assert len(run_points(rc)) == len(rc.points)
+    assert calls == []
 
 
 @pytest.mark.parametrize("command, config, golden", golden_runs())

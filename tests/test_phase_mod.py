@@ -423,6 +423,21 @@ def test_config_validation():
         Truncation(margin=True)
 
 
+@pytest.mark.parametrize("make, field", [
+    (lambda: PMConfig(phi_b=0.0, m=True, theta_rf=0.0, tone=1), "modulation index"),
+    (lambda: PMConfig(phi_b=0.0, m=1.0, theta_rf=False, tone=1), "theta_rf"),
+    (lambda: PMConfig(phi_b=True, m=1.0, theta_rf=0.0, tone=1), "phi_b"),
+    (lambda: ToneDrive(m=True, theta_rf=0.0, tone=2), "modulation index"),
+    (lambda: ToneDrive(m=0.1, theta_rf=True, tone=2), "theta_rf"),
+    (lambda: MultitonePMConfig(phi_b=True, tones=(ToneDrive(m=0.1, theta_rf=0.0, tone=1),)), "phi_b"),
+])
+def test_drive_fields_refuse_booleans(make, field):
+    # a bool is an int, so it passes a range or finiteness check; like the
+    # splitter fields, tone and mode number, drive fields refuse it by type
+    with pytest.raises(ValueError, match=field):
+        make()
+
+
 def test_scatter_row_rejects_unknown_model():
     cfg = PMConfig(phi_b=0.0, m=1.0, theta_rf=0.0, tone=1)
     with pytest.raises(ValueError):
@@ -471,14 +486,19 @@ def test_matched_arms_share_one_bessel_window(monkeypatch, fresh_windows):
     pm_scatter_row(100, arm1, model="optical")  # another model is another window
     pm_scatter_row(101, arm1)  # and so is another carrier,
     assert windows() == 3
-    assert len(requests) == 2  # but both read the same halfwidth and Bessel pass
-    pm_scatter_row(100, arm1)  # two windows kept: (100, exact) is gone
+    assert len(requests) == 2  # but both read the same two Bessel passes
+    pm_scatter_row(100, arm1)  # one window kept: (100, exact) is gone
     assert (windows(), len(requests)) == (4, 2)
     for m in (0.5, 0.7, 0.9):
         pm_scatter_row(100, PMConfig(phi_b=0.0, m=m, theta_rf=0.0, tone=3))
     assert len(requests) == 8
-    pm_scatter_row(100, arm1)  # two depths kept: m = 2 is gone
-    assert len(requests) == 10
+    pm_scatter_row(100, arm1)  # eight passes kept: m = 2's two are still there
+    assert len(requests) == 8
+    for m in (1.1, 1.3, 1.5, 1.7):
+        pm_scatter_row(100, PMConfig(phi_b=0.0, m=m, theta_rf=0.0, tone=3))
+    assert len(requests) == 16
+    pm_scatter_row(100, arm1)  # four more depths: m = 2's passes are gone
+    assert len(requests) == 18
 
 
 @pytest.mark.parametrize("model", ["exact", "optical"])

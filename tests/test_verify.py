@@ -175,13 +175,20 @@ def _battery_work(monkeypatch):
     return calls, memos
 
 
-def test_battery_runs_each_bessel_pass_and_halfwidth_once_per_device(monkeypatch, fresh_windows):
-    # 441 passes and 264 scans when every window, and verify's oracle
-    # lattice, ran its own; the battery asks for 213 distinct (s_max, m)
-    # passes and 97 distinct (m, truncation) halfwidths
+def test_battery_runs_each_bessel_pass_once_per_device(monkeypatch, fresh_windows):
+    # the battery asks for 213 distinct (s_max, m) passes, and runs 499 with
+    # no memo.  Halfwidths are not kept: each window that misses scans again,
+    # reading its pass from the memo, and verify's oracle lattice scans
+    # through its own binding, which this count leaves out
     first, first_memos = _battery_work(monkeypatch)
-    assert first == {"bessel_j_array": 237, "retained_halfwidth": 112}
+    assert first == {"bessel_j_array": 226, "retained_halfwidth": 177}
     # a battery straight after another does the same work as one from empty
-    # memos: no memo entry outlives the battery
+    # memos, but for one pass: its first, the halfwidth scan at m = 0.5, which
+    # the first battery's last windows at that depth kept among the last eight
     again, again_memos = _battery_work(monkeypatch)
-    assert (again, again_memos) == (first, first_memos)
+    hits, misses = first_memos["_bessel_pass"]
+    assert (again, again_memos) == ({"bessel_j_array": 225, "retained_halfwidth": 177},
+                                    {"_scatter_window": first_memos["_scatter_window"],
+                                     "_bessel_pass": (hits + 1, misses - 1)})
+    # and no more: the memos carry nothing further from battery to battery
+    assert _battery_work(monkeypatch) == (again, again_memos)
